@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-smoke bench-compare docs check check-budget check-wmc check-trace check-serve check-chaos check-prepare check-storage check-obs
+.PHONY: all build test bench bench-smoke bench-compare docs check check-budget check-wmc check-trace check-serve check-chaos check-prepare check-storage check-obs perfbench
 
 all: build
 
@@ -229,6 +229,17 @@ bench-compare: build
 		--threshold 4 --min-s 0.01 || \
 		{ echo "bench-compare: serve pair flagged as regression"; exit 1; }; \
 	echo "bench-compare: wmc + serve pairs pass, synthetic x25 regression caught — OK"
+
+# The repository benchmark (BENCHMARK.json; perfbench/README.md): one
+# 25-second end-to-end run of each workload at seed 1, tracing off. Each
+# run builds what it needs and prints its metrics as a JSON last line.
+PERFBENCH_WORKLOADS = serve-point scan-packed grounded-exact overload-window
+
+perfbench:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 25 --trace 0 || \
+			{ echo "perfbench: $$w failed"; exit 1; }; \
+	done
 
 # What CI runs: build, test suite, the budget and benchmark smoke tests,
 # the WMC equivalence suite, the observability suite, the serving soak,

@@ -8,10 +8,10 @@ module Dpll = Probdb_dpll.Dpll
 module Wmc = Probdb_cnf.Wmc
 module Plan = Probdb_plans.Plan
 module Prepare = Probdb_prepare.Prepare
+module Cq = Probdb_logic.Cq
 module Karp_luby = Probdb_approx.Karp_luby
 module Stats = Probdb_obs.Stats
 module Clock = Probdb_obs.Clock
-module Counter = Probdb_obs.Counter
 module Trace = Probdb_obs.Trace
 module Metrics = Probdb_obs.Metrics
 module Json = Probdb_obs.Json
@@ -116,22 +116,18 @@ let exact_only =
     strategies =
       [ Lifted; Symmetric; Safe_plan; Read_once; Wmc; Obdd; Dpll; World_enum ] }
 
-(* Process-wide metrics (aggregating across queries, unlike [Stats.t]);
-   the legacy [Counter] module keeps receiving the same increments so
-   existing consumers of [Counter.read] are unaffected. *)
+(* Process-wide metrics (aggregating across queries, unlike [Stats.t]),
+   registered once: a win increments its strategy's counter directly. *)
 let m_queries = Metrics.counter "engine.queries"
 
 let m_degraded = Metrics.counter "engine.degraded"
 
 let m_latency = Metrics.histogram "engine.query_latency_s"
 
-let count_query () =
-  Counter.incr "engine.queries";
-  Metrics.incr m_queries
-
-let count_win s =
-  Counter.incr ("engine.strategy." ^ strategy_name s);
-  Metrics.incr (Metrics.counter ("engine.strategy." ^ strategy_name s))
+let m_wins =
+  List.map
+    (fun s -> (s, Metrics.counter ("engine.strategy." ^ strategy_name s)))
+    default_config.strategies
 
 (* The evaluation-config echo surfaced as the [config] section of
    --stats-json: enough to re-run the query the same way. *)
@@ -256,73 +252,48 @@ let try_symmetric guard db q =
       | p -> Ok_outcome (Exact p)
       | exception Probdb_symmetric.Wfomc.Unsupported msg -> Skip ("FO2 fragment: " ^ msg))
 
-(* The prepared variants below consume the cached structural artifact
-   instead of re-deriving it: [Prepare.bind_ucq]/[bind_plan] substitute the
-   actual constants back into the template-level UCQ/plan. Data-dependent
-   checks (standard probabilities, read-once-ness, guard trips) still run
-   here — only structure was cached. With [prepared = None] each function
-   is byte-for-byte the legacy cold path. *)
+(* Structure comes from the prepared artifact: [Prepare.bind_ucq] and
+   [Prepare.bind_plan] substitute the actual constants back into the
+   template-level UCQ and plan. Data-dependent checks (standard
+   probabilities, read-once-ness, guard trips) run here at execute time —
+   only structure is prepared. *)
 
-let ucq_of ?prepared q =
-  match prepared with
-  | Some b -> Prepare.bind_ucq b
-  | None -> (
-      match Ucq.of_sentence q with
-      | r -> Ok r
-      | exception Ucq.Unsupported msg -> Error msg)
-
-let try_read_once ?prepared db q =
-  match ucq_of ?prepared q with
-  | Error msg -> Skip ("fragment: " ^ msg)
+(* The monotone DNF lineage that read-once factorisation and Karp–Luby
+   work on, with the mode that maps its probability back to the query's;
+   [Error] says why the query has none. *)
+let dnf_lineage prepared db =
+  match Prepare.bind_ucq prepared with
+  | Error msg -> Error ("fragment: " ^ msg)
   | Ok (ucq, mode) -> (
-      if
-        List.exists
-          (List.exists (fun (a : Probdb_logic.Cq.atom) -> a.Probdb_logic.Cq.comp))
-          ucq
-      then Skip "complemented atoms (lineage is not a monotone DNF)"
+      if List.exists (List.exists (fun (a : Cq.atom) -> a.Cq.comp)) ucq then
+        Error "complemented atoms (lineage is not a monotone DNF)"
       else
         let ctx = Lineage.create db in
         match Lineage.dnf_of_ucq ctx ucq with
-        | exception Invalid_argument msg -> Skip msg
-        | clauses -> (
-            match Probdb_kc.Read_once.probability (Lineage.prob ctx) clauses with
-            | Some p -> Ok_outcome (Exact (Ucq.apply_mode mode p))
-            | None -> Skip "lineage is not read-once"))
+        | clauses -> Ok (ctx, clauses, mode)
+        | exception Invalid_argument msg -> Error msg)
 
-let run_safe_plan stats guard db plan =
-  let p, plan_counts, rows = Plan.boolean_prob_counting ~guard db plan in
-  stats.Stats.plan <- Some plan_counts;
-  stats.Stats.rows_processed <- stats.Stats.rows_processed + rows;
-  Ok_outcome (Exact p)
+let try_read_once prepared db =
+  match dnf_lineage prepared db with
+  | Error reason -> Skip reason
+  | Ok (ctx, clauses, mode) -> (
+      match Probdb_kc.Read_once.probability (Lineage.prob ctx) clauses with
+      | Some p -> Ok_outcome (Exact (Ucq.apply_mode mode p))
+      | None -> Skip "lineage is not read-once")
 
-let try_safe_plan ?prepared stats guard db q =
-  match prepared with
-  | Some b -> (
-      (* prepare already planned the template; binding the constants back
-         in is the only Plan-phase work left *)
-      match Stats.time_phase stats Stats.Plan (fun () -> Prepare.bind_plan b) with
-      | Some plan -> run_safe_plan stats guard db plan
-      | None ->
-          Skip
-            (Option.value ~default:"no safe plan (non-hierarchical)"
-               (Prepare.plan_skip b)))
-  | None -> (
-      match Ucq.of_sentence q with
-      | exception Ucq.Unsupported msg -> Skip ("fragment: " ^ msg)
-      | ucq, Ucq.Complemented ->
-          ignore ucq;
-          Skip "universal sentence (plans handle positive CQs only)"
-      | ucq, Ucq.Direct -> (
-          match Ucq.minimize ucq with
-          | [ cq ]
-            when Probdb_logic.Cq.is_self_join_free cq
-                 && not (List.exists (fun (a : Probdb_logic.Cq.atom) -> a.Probdb_logic.Cq.comp) cq)
-            -> (
-              match Stats.time_phase stats Stats.Plan (fun () -> Plan.safe_plan cq) with
-              | Some plan -> run_safe_plan stats guard db plan
-              | None -> Skip "no safe plan (non-hierarchical)")
-          | [ _ ] -> Skip "CQ has self-joins or negated atoms"
-          | _ -> Skip "not a single CQ"))
+let try_safe_plan prepared stats guard db =
+  (* prepare already planned the template; binding the constants back in
+     is the only Plan-phase work left *)
+  match Stats.time_phase stats Stats.Plan (fun () -> Prepare.bind_plan prepared) with
+  | Some plan ->
+      let p, plan_counts, rows = Plan.boolean_prob_counting ~guard db plan in
+      stats.Stats.plan <- Some plan_counts;
+      stats.Stats.rows_processed <- stats.Stats.rows_processed + rows;
+      Ok_outcome (Exact p)
+  | None ->
+      Skip
+        (Option.value ~default:"no safe plan (non-hierarchical)"
+           (Prepare.plan_skip prepared))
 
 let try_obdd config stats guard db q =
   let ctx = Lineage.create db in
@@ -399,30 +370,24 @@ let try_dpll config stats guard db q =
               limit = float_of_int n;
               spent = float_of_int n })
 
-let try_karp_luby ?prepared config guard pool db q =
+let sample ?guard config pool ~samples ctx clauses =
+  match pool with
+  | Some pool ->
+      Karp_luby.estimate_par ~seed:config.seed ?guard ~pool ~samples
+        ~prob:(Lineage.prob ctx) clauses
+  | None ->
+      Karp_luby.estimate ~seed:config.seed ?guard ~samples ~prob:(Lineage.prob ctx)
+        clauses
+
+let try_karp_luby prepared config guard pool db =
   if not (Core.Tid.is_standard db) then Skip "non-standard probabilities"
   else
-    match ucq_of ?prepared q with
-    | Error msg -> Skip ("fragment: " ^ msg)
-    | Ok (ucq, mode) -> (
-        if List.exists (List.exists (fun (a : Probdb_logic.Cq.atom) -> a.Probdb_logic.Cq.comp)) ucq
-        then Skip "complemented atoms (lineage is not a monotone DNF)"
-        else
-          let ctx = Lineage.create db in
-          match Lineage.dnf_of_ucq ctx ucq with
-          | exception Invalid_argument msg -> Skip msg
-          | clauses ->
-              let est =
-                match pool with
-                | Some pool ->
-                    Karp_luby.estimate_par ~seed:config.seed ~guard ~pool
-                      ~samples:config.kl_samples ~prob:(Lineage.prob ctx) clauses
-                | None ->
-                    Karp_luby.estimate ~seed:config.seed ~guard
-                      ~samples:config.kl_samples ~prob:(Lineage.prob ctx) clauses
-              in
-              let v = Ucq.apply_mode mode est.Karp_luby.mean in
-              Ok_outcome (Approximate { value = v; std_error = est.Karp_luby.std_error }))
+    match dnf_lineage prepared db with
+    | Error reason -> Skip reason
+    | Ok (ctx, clauses, mode) ->
+        let est = sample ~guard config pool ~samples:config.kl_samples ctx clauses in
+        let v = Ucq.apply_mode mode est.Karp_luby.mean in
+        Ok_outcome (Approximate { value = v; std_error = est.Karp_luby.std_error })
 
 let try_world_enum config db q =
   if Core.Tid.support_size db > config.max_enum_support then
@@ -431,17 +396,17 @@ let try_world_enum config db q =
          (Core.Tid.support_size db) config.max_enum_support)
   else Ok_outcome (Exact (Probdb_logic.Brute_force.probability db q))
 
-let attempt ?prepared config stats guard pool db q s =
+let attempt prepared config stats guard pool db q s =
   let run () =
     match s with
     | Lifted -> try_lifted stats guard pool db q
     | Symmetric -> try_symmetric guard db q
-    | Safe_plan -> try_safe_plan ?prepared stats guard db q
-    | Read_once -> try_read_once ?prepared db q
+    | Safe_plan -> try_safe_plan prepared stats guard db
+    | Read_once -> try_read_once prepared db
     | Wmc -> try_wmc config stats guard db q
     | Obdd -> try_obdd config stats guard db q
     | Dpll -> try_dpll config stats guard db q
-    | Karp_luby -> try_karp_luby ?prepared config guard pool db q
+    | Karp_luby -> try_karp_luby prepared config guard pool db
     | World_enum -> try_world_enum config db q
   in
   (* Every trial is a span on the trace timeline and a GC-delta region:
@@ -453,78 +418,27 @@ let attempt ?prepared config stats guard pool db q s =
   in
   match run () with r -> r | exception Guard.Exhausted trip -> Trip trip
 
-(* Prepared-pipeline gating: the prepared path is active when the caller
-   hands over an artifact or the config carries a cache. With a cached
-   template plan, Safe_plan is promoted to the front of the strategy list —
-   running the compiled columnar plan instead of re-deriving the answer by
-   lifted recursion is the whole point of the warm path. The promotion is a
-   pure function of the artifact, so cold misses, warm hits and a disabled
-   (capacity-0) cache order the strategies identically and answers cannot
-   drift with cache state. *)
+(* Prepare/execute is the only pipeline: every evaluation works from a
+   [Prepare.bound] — the caller's, one resolved through [config.plan_cache],
+   or, with no cache configured, one built through a shared capacity-0
+   cache (the same pipeline, nothing retained). With a template plan,
+   Safe_plan is promoted to the front of the strategy list — running the
+   compiled columnar plan instead of re-deriving the answer by lifted
+   recursion is the point of preparing. The promotion is a pure function of
+   the artifact, so cold misses, warm hits and capacity-0 caches order the
+   strategies identically and answers cannot drift with cache state. *)
+let no_cache = Prepare.Cache.create ~capacity:0 ()
+
 let acquire_prepared config stats prepared q =
-  match (prepared, config.plan_cache) with
-  | (Some _ as p), _ -> p
-  | None, Some cache when Fo.is_sentence q ->
-      Some (Prepare.Cache.of_query ~stats cache q)
-  | None, _ -> None
+  match prepared with
+  | Some b -> b
+  | None ->
+      Prepare.Cache.of_query ~stats (Option.value config.plan_cache ~default:no_cache) q
 
 let promote_safe_plan prepared strategies =
-  match prepared with
-  | Some b
-    when b.Prepare.artifact.Prepare.plan <> None && List.mem Safe_plan strategies
-    ->
-      Safe_plan :: List.filter (fun s -> s <> Safe_plan) strategies
-  | _ -> strategies
-
-let evaluate ?(config = default_config) ?stats ?prepared db q =
-  if not (Fo.is_sentence q) then
-    invalid_arg "Engine.evaluate: open formula (use Engine.answers)";
-  let stats = match stats with Some s -> s | None -> Stats.create () in
-  if stats.Stats.query = None then
-    stats.Stats.query <- Some (Format.asprintf "%a" Fo.pp q);
-  count_query ();
-  echo_config stats config;
-  let guard = guard_of_config config in
-  let pool = pool_of_config config in
-  let prepared = acquire_prepared config stats prepared q in
-  let strategies = promote_safe_plan prepared config.strategies in
-  let rec go skipped = function
-    | [] ->
-        stats.Stats.skipped <-
-          List.rev_map (fun (s, m) -> (strategy_name s, m)) skipped;
-        raise (No_method (List.rev skipped))
-    | s :: rest -> (
-        (* [Plan.safe_plan] time lands in the Plan phase inside the attempt;
-           subtract it so Classify/Solve only get what is really theirs. *)
-        let plan_before = stats.Stats.plan_s in
-        let result, dt =
-          Clock.time (fun () -> attempt ?prepared config stats guard pool db q s)
-        in
-        let dt = Float.max 0.0 (dt -. (stats.Stats.plan_s -. plan_before)) in
-        match result with
-        | Ok_outcome outcome ->
-            Stats.record_phase stats Stats.Solve dt;
-            stats.Stats.strategy <- Some (strategy_name s);
-            stats.Stats.probability <- Some (value outcome);
-            (match outcome with
-            | Exact _ -> stats.Stats.exact <- true
-            | Approximate { std_error; _ } ->
-                stats.Stats.exact <- false;
-                stats.Stats.std_error <- Some std_error);
-            stats.Stats.skipped <-
-              List.rev_map (fun (s, m) -> (strategy_name s, m)) skipped;
-            record_pool stats pool;
-            count_win s;
-            Metrics.observe m_latency (Stats.total_s stats);
-            { outcome; strategy = s; skipped = List.rev skipped; stats }
-        | Skip reason ->
-            Stats.record_phase stats Stats.Classify dt;
-            go ((s, reason) :: skipped) rest
-        | Trip trip ->
-            Stats.record_phase stats Stats.Classify dt;
-            go ((s, Guard.describe trip) :: skipped) rest)
-  in
-  go [] strategies
+  if prepared.Prepare.artifact.Prepare.plan <> None && List.mem Safe_plan strategies
+  then Safe_plan :: List.filter (fun s -> s <> Safe_plan) strategies
+  else strategies
 
 (* ---------- guaranteed-completion evaluation ---------- *)
 
@@ -534,46 +448,28 @@ let evaluate ?(config = default_config) ?stats ?prepared db q =
    front, so completion is guaranteed. Returns [None] when the query has
    no monotone DNF lineage to sample (complemented atoms, non-standard
    probabilities, outside the UCQ fragment). *)
-let kl_fallback ?prepared config pool ~eps ~delta ~max_samples db q =
+let kl_fallback prepared config pool ~eps ~delta ~max_samples db =
   if not (Core.Tid.is_standard db) then None
   else
-    match ucq_of ?prepared q with
+    match dnf_lineage prepared db with
     | Error _ -> None
-    | Ok (ucq, mode) -> (
-        if
-          List.exists
-            (List.exists (fun (a : Probdb_logic.Cq.atom) -> a.Probdb_logic.Cq.comp))
-            ucq
-        then None
-        else
-          let ctx = Lineage.create db in
-          match Lineage.dnf_of_ucq ctx ucq with
-          | exception Invalid_argument _ -> None
-          | clauses ->
-              let m = max 1 (List.length clauses) in
-              let samples =
-                min (Karp_luby.required_samples ~eps ~delta ~clauses:m) max_samples
-              in
-              let est =
-                match pool with
-                | Some pool ->
-                    Karp_luby.estimate_par ~seed:config.seed ~pool ~samples
-                      ~prob:(Lineage.prob ctx) clauses
-                | None ->
-                    Karp_luby.estimate ~seed:config.seed ~samples
-                      ~prob:(Lineage.prob ctx) clauses
-              in
-              let lo, hi = Karp_luby.confidence_interval ~delta est in
-              let v = Ucq.apply_mode mode est.Karp_luby.mean in
-              let lo, hi =
-                match mode with
-                | Ucq.Direct -> (lo, hi)
-                | Ucq.Complemented -> (1.0 -. hi, 1.0 -. lo)
-              in
-              Some
-                ( v,
-                  est.Karp_luby.std_error,
-                  { Answer.ci_low = lo; ci_high = hi; eps; delta; samples } ))
+    | Ok (ctx, clauses, mode) ->
+        let m = max 1 (List.length clauses) in
+        let samples =
+          min (Karp_luby.required_samples ~eps ~delta ~clauses:m) max_samples
+        in
+        let est = sample config pool ~samples ctx clauses in
+        let lo, hi = Karp_luby.confidence_interval ~delta est in
+        let v = Ucq.apply_mode mode est.Karp_luby.mean in
+        let lo, hi =
+          match mode with
+          | Ucq.Direct -> (lo, hi)
+          | Ucq.Complemented -> (1.0 -. hi, 1.0 -. lo)
+        in
+        Some
+          ( v,
+            est.Karp_luby.std_error,
+            { Answer.ci_low = lo; ci_high = hi; eps; delta; samples } )
 
 let eval ?(config = default_config) ?stats ?prepared db q =
   if not (Fo.is_sentence q) then
@@ -581,7 +477,7 @@ let eval ?(config = default_config) ?stats ?prepared db q =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   if stats.Stats.query = None then
     stats.Stats.query <- Some (Format.asprintf "%a" Fo.pp q);
-  count_query ();
+  Metrics.incr m_queries;
   echo_config stats config;
   let guard = guard_of_config config in
   let pool = pool_of_config config in
@@ -598,6 +494,24 @@ let eval ?(config = default_config) ?stats ?prepared db q =
     stats.Stats.chain <- Answer.chain_to_stats chain;
     stats.Stats.skipped <-
       List.map (fun s -> (Answer.step_strategy s, Answer.step_detail s)) chain
+  in
+  let answer s ~value ~std_error ~confidence chain =
+    finish_stats chain;
+    record_pool stats pool;
+    stats.Stats.strategy <- Some (strategy_name s);
+    stats.Stats.probability <- Some value;
+    stats.Stats.exact <- std_error = None;
+    stats.Stats.std_error <- std_error;
+    Metrics.incr (List.assoc s m_wins);
+    Metrics.observe m_latency (Stats.total_s stats);
+    Result.Ok
+      { Answer.value;
+        exact = std_error = None;
+        strategy = strategy_name s;
+        degraded = confidence <> None;
+        confidence;
+        chain;
+        stats }
   in
   let fail chain =
     finish_stats chain;
@@ -623,34 +537,19 @@ let eval ?(config = default_config) ?stats ?prepared db q =
           Clock.time (fun () ->
               Stats.with_gc stats (fun () ->
                   Trace.with_span ~cat:"strategy" "karp-luby.fallback" (fun () ->
-                      kl_fallback ?prepared config pool ~eps ~delta ~max_samples db q)))
+                      kl_fallback prepared config pool ~eps ~delta ~max_samples db)))
         in
         Stats.record_phase stats Stats.Solve dt;
         match result with
         | None -> fail chain
-        | Some (v, std_error, confidence) ->
-            finish_stats chain;
-            record_pool stats pool;
-            stats.Stats.strategy <- Some (strategy_name Karp_luby);
-            stats.Stats.probability <- Some v;
-            stats.Stats.exact <- false;
-            stats.Stats.std_error <- Some std_error;
+        | Some (value, std_error, confidence) ->
             stats.Stats.degraded <- true;
             stats.Stats.ci_low <- Some confidence.Answer.ci_low;
             stats.Stats.ci_high <- Some confidence.Answer.ci_high;
             stats.Stats.samples <- Some confidence.Answer.samples;
-            Counter.incr "engine.degraded";
             Metrics.incr m_degraded;
-            count_win Karp_luby;
-            Metrics.observe m_latency (Stats.total_s stats);
-            Result.Ok
-              { Answer.value = v;
-                exact = false;
-                strategy = strategy_name Karp_luby;
-                degraded = true;
-                confidence = Some confidence;
-                chain;
-                stats })
+            answer Karp_luby ~value ~std_error:(Some std_error)
+              ~confidence:(Some confidence) chain)
   in
   let rec go chain = function
     | [] -> degrade_or_fail (List.rev chain)
@@ -665,39 +564,22 @@ let eval ?(config = default_config) ?stats ?prepared db q =
           :: chain)
           rest
     | s :: rest -> (
+        (* [Plan.safe_plan] time lands in the Plan phase inside the attempt;
+           subtract it so Classify/Solve only get what is really theirs. *)
         let plan_before = stats.Stats.plan_s in
         let result, dt =
-          Clock.time (fun () -> attempt ?prepared config stats guard pool db q s)
+          Clock.time (fun () -> attempt prepared config stats guard pool db q s)
         in
         let dt = Float.max 0.0 (dt -. (stats.Stats.plan_s -. plan_before)) in
         match result with
         | Ok_outcome outcome ->
             Stats.record_phase stats Stats.Solve dt;
-            let chain = List.rev chain in
-            finish_stats chain;
-            record_pool stats pool;
-            stats.Stats.strategy <- Some (strategy_name s);
-            stats.Stats.probability <- Some (value outcome);
-            let exact, confidence =
+            let std_error =
               match outcome with
-              | Exact _ ->
-                  stats.Stats.exact <- true;
-                  (true, None)
-              | Approximate { std_error; _ } ->
-                  stats.Stats.exact <- false;
-                  stats.Stats.std_error <- Some std_error;
-                  (false, None)
+              | Exact _ -> None
+              | Approximate { std_error; _ } -> Some std_error
             in
-            count_win s;
-            Metrics.observe m_latency (Stats.total_s stats);
-            Result.Ok
-              { Answer.value = value outcome;
-                exact;
-                strategy = strategy_name s;
-                degraded = false;
-                confidence;
-                chain;
-                stats }
+            answer s ~value:(value outcome) ~std_error ~confidence:None (List.rev chain)
         | Skip reason ->
             Stats.record_phase stats Stats.Classify dt;
             go (Answer.Skipped { strategy = strategy_name s; reason } :: chain) rest
@@ -706,6 +588,28 @@ let eval ?(config = default_config) ?stats ?prepared db q =
             go (Answer.step_of_trip ~strategy:(strategy_name s) trip :: chain) rest)
   in
   go [] strategies
+
+(* The report-shaped view of {!eval} with degradation off: a trip is one
+   more reason a strategy was passed over, and running out of strategies
+   raises. *)
+let evaluate ?(config = default_config) ?stats ?prepared db q =
+  let stats = match stats with Some s -> s | None -> Stats.create () in
+  let config = { config with degrade = None; force_degraded = false } in
+  let strategy name = Option.get (strategy_of_name name) in
+  match eval ~config ~stats ?prepared db q with
+  | Ok a ->
+      { outcome =
+          (match stats.Stats.std_error with
+          | None -> Exact a.Answer.value
+          | Some std_error -> Approximate { value = a.Answer.value; std_error });
+        strategy = strategy a.Answer.strategy;
+        skipped =
+          List.map
+            (fun s -> (strategy (Answer.step_strategy s), Answer.step_detail s))
+            a.Answer.chain;
+        stats }
+  | Error _ ->
+      raise (No_method (List.map (fun (s, m) -> (strategy s, m)) stats.Stats.skipped))
 
 let probability ?config db q = value (evaluate ?config db q).outcome
 

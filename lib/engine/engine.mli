@@ -29,6 +29,10 @@
       UCQs when everything exact has failed;
     + {e possible-world enumeration} — the last resort for tiny databases.
 
+    Every evaluation first prepares the query ({!Probdb_prepare.Prepare}):
+    when its structure has a safe plan, the safe extensional plan moves to
+    the front of the order above.
+
     Every answer reports which method produced it and why the earlier ones
     were skipped — the paper's narrative (who wins where) as an API. *)
 
@@ -81,12 +85,12 @@ type config = {
       (** [Some _]: {!eval} falls back to the (ε,δ) Karp–Luby approximation
           when every exact strategy is skipped or tripped, and Karp–Luby is
           removed from the main strategy loop. [None]: {!eval} fails
-          instead. Ignored by the legacy {!evaluate}. *)
+          instead. {!evaluate} always runs with [None]. *)
   force_degraded : bool;
       (** when set (by {!force_degrade}), {!eval} skips every exact
           strategy — recording each as a skipped step in the degradation
-          chain — and answers directly with the (ε,δ) fallback. Ignored
-          by the legacy {!evaluate}. *)
+          chain — and answers directly with the (ε,δ) fallback.
+          {!evaluate} always runs with it unset. *)
   domains : int;
       (** OCaml domains for the parallel runtime ([probdb.par]). At [1]
           (the default) no pool is created and every strategy runs its
@@ -102,20 +106,20 @@ type config = {
           server passes one server-wide guard here so a hard shutdown can
           stop every in-flight query cooperatively. *)
   plan_cache : Probdb_prepare.Prepare.Cache.t option;
-      (** when set, {!eval}/{!evaluate} run the prepared pipeline: the
-          query's structural key (constants lifted to parameters) is looked
-          up in this shared compiled-plan cache, a miss builds and caches
-          the artifact (UCQ reduction, minimisation, classification,
-          template safe plan), and execution binds the constants back into
-          the cached artifact. When the artifact carries a safe plan,
-          [Safe_plan] is promoted to the front of the strategy list, so
-          warm evaluations of safe queries run the compiled columnar plan
-          directly — parse/classify/plan phase timings read ~0 on hits.
-          [stats] reports the lookup in its [prepare] block. A capacity-0
-          cache runs the identical pipeline without retaining anything —
-          that is what [--no-plan-cache] installs, so caching can never
-          change an answer. [None] (the default) is the legacy
-          every-eval-reclassifies behaviour. *)
+      (** the shared compiled-plan cache every evaluation prepares
+          through: the query's structural key (constants lifted to
+          parameters) is looked up, a miss builds and caches the artifact
+          (UCQ reduction, minimisation, classification, template safe
+          plan), and execution binds the constants back into the cached
+          artifact. When the artifact carries a safe plan, [Safe_plan] is
+          promoted to the front of the strategy list, so safe queries run
+          the compiled columnar plan directly — parse/classify/plan phase
+          timings read ~0 on hits. [stats] reports the lookup in its
+          [prepare] block. A capacity-0 cache runs the identical pipeline
+          without retaining anything — that is what [--no-plan-cache]
+          installs, so caching can never change an answer. [None] (the
+          default) means capacity 0: the engine prepares through a shared
+          capacity-0 cache. *)
 }
 
 val default_config : config
@@ -163,8 +167,10 @@ val evaluate :
   Probdb_core.Tid.t ->
   Probdb_logic.Fo.t ->
   report
-(** Tries the configured strategies in order and returns the first answer.
-    Always-on instrumentation: phase timings and per-solver counters are
+(** Tries the configured strategies in order and returns the first answer:
+    {!eval} with degradation off ([degrade = None], [force_degraded]
+    unset), where a guard trip is one more reason a strategy was passed
+    over. Always-on instrumentation: phase timings and per-solver counters are
     recorded into [stats] (a fresh record when not supplied) and returned
     in the report. Pass [?stats] to carry CLI-side timings (e.g. parse
     time) into the same record.
@@ -172,10 +178,10 @@ val evaluate :
     @param config strategy list and budgets (default {!default_config}).
     @param stats the record to fill; freshly created when absent.
     @param prepared a pre-resolved artifact binding for [q] (e.g. from
-      {!Probdb_prepare.Prepare.Cache.resolve_text}); when absent and
-      [config.plan_cache] is set, the engine resolves one itself.
+      {!Probdb_prepare.Prepare.Cache.resolve_text}); when absent, the
+      engine resolves one through [config.plan_cache].
     @raise Invalid_argument on open formulas — use {!answers}.
-    @raise No_method when every configured strategy is skipped. *)
+    @raise No_method when every configured strategy is skipped or tripped. *)
 
 val eval :
   ?config:config ->
@@ -184,7 +190,9 @@ val eval :
   Probdb_core.Tid.t ->
   Probdb_logic.Fo.t ->
   (Answer.t, Probdb_core.Probdb_error.t) result
-(** Guaranteed-completion evaluation. Like {!evaluate}, but
+(** Guaranteed-completion evaluation: the strategy chain of {!evaluate}
+    (after prepare, with [Safe_plan] promoted when the artifact carries a
+    plan), but
 
     - a {!Probdb_guard.Guard.t} built from the config's [deadline_s],
       budgets, heap watermark and [fault] interrupts runaway strategies;

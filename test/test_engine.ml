@@ -11,11 +11,14 @@ let db_for q ~seed ~domain_size =
   Gen.random_tid ~seed ~domain_size specs
 
 let test_safe_queries_use_lifted () =
+  (* the lifted rules alone answer every safe query; the default chain
+     promotes the prepared safe plan ahead of them *)
+  let config = { E.default_config with E.strategies = [ E.Lifted ] } in
   List.iter
     (fun (e : Q.entry) ->
       if e.Q.expected = Q.Ptime then begin
         let db = db_for e.Q.query ~seed:3 ~domain_size:2 in
-        let r = E.evaluate db e.Q.query in
+        let r = E.evaluate ~config db e.Q.query in
         Alcotest.(check string)
           (Printf.sprintf "%s via lifted" e.Q.name)
           "lifted"
@@ -24,7 +27,10 @@ let test_safe_queries_use_lifted () =
           (L.Brute_force.probability db e.Q.query)
           (E.value r.E.outcome)
       end)
-    Q.all
+    Q.all;
+  let db = db_for Q.q_hier.Q.query ~seed:3 ~domain_size:2 in
+  Alcotest.(check string) "default chain answers q_hier via safe-plan" "safe-plan"
+    (E.strategy_name (E.evaluate db Q.q_hier.Q.query).E.strategy)
 
 let test_hard_queries_fall_to_grounded () =
   (* complete bipartite H0 instance: the lineage contains the triangle

@@ -21,7 +21,8 @@ let test_safe_query_no_ie () =
   let q = L.Parser.parse_sentence "exists x y. R(x) && S(x,y)" in
   let db = db_for q ~seed:1 ~domain_size:3 in
   let stats = Stats.create () in
-  let r = E.evaluate ~stats db q in
+  let config = { E.default_config with E.strategies = [ E.Lifted ] } in
+  let r = E.evaluate ~config ~stats db q in
   Alcotest.(check string) "lifted wins" "lifted" (E.strategy_name r.E.strategy);
   match stats.Stats.lifted with
   | None -> Alcotest.fail "lifted rule counts not populated"

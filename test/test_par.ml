@@ -148,7 +148,8 @@ let test_engine_domains_config () =
   in
   let q = L.Parser.parse_sentence "exists x y. R(x) && S(x,y)" in
   let eval domains =
-    let config = { E.default_config with E.domains } in
+    (* lifted inference is the strategy that forks on the pool *)
+    let config = { E.default_config with E.domains; strategies = [ E.Lifted ] } in
     let stats = Stats.create () in
     match E.eval ~config ~stats db q with
     | Ok a -> (a.Probdb_engine.Answer.value, stats)

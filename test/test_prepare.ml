@@ -2,12 +2,10 @@
    binding, the shared compiled-plan cache, and the contract the whole
    design rests on — caching can never change an answer.
 
-   Bit-identity is asserted at the float-bits level between the cold
-   path (a capacity-0 cache: identical pipeline, nothing retained), the
-   first (cold) evaluation through a real cache, and the warm hit; the
-   legacy uncached engine is compared within numeric tolerance only,
-   because plan promotion legitimately changes which exact method
-   answers. *)
+   Bit-identity is asserted at the float-bits level between a capacity-0
+   cache (identical pipeline, nothing retained), no cache at all (which
+   resolves through a capacity-0 cache), the first (cold) evaluation
+   through a real cache, and the warm hit. *)
 
 module Core = Probdb_core
 module L = Probdb_logic
@@ -103,29 +101,24 @@ let fingerprint = function
             a.Answer.chain )
   | Error e -> Error (Probdb_core.Probdb_error.render e)
 
-(* cold-through-cache, warm hit, and capacity-0 must agree bit for bit
-   (value, strategy, degradation chain); the legacy engine numerically *)
-let check_identity ?(legacy_eps = 1e-9) config db q =
-  let with_cache cap =
-    { config with E.plan_cache = Some (Prepare.Cache.create ~capacity:cap ()) }
+(* cold-through-cache, warm hit, capacity-0 and no cache at all must
+   agree bit for bit (value, strategy, degradation chain) *)
+let check_identity config db q =
+  let with_cache plan_cache = { config with E.plan_cache } in
+  let cached = with_cache (Some (Prepare.Cache.create ~capacity:512 ())) in
+  let runs =
+    [ cached (* cold *); cached (* warm *);
+      with_cache (Some (Prepare.Cache.create ~capacity:0 ())); with_cache None ]
   in
-  let cached = with_cache 512 in
-  let cold = fingerprint (E.eval ~config:cached db q) in
-  let warm = fingerprint (E.eval ~config:cached db q) in
-  let uncached = fingerprint (E.eval ~config:(with_cache 0) db q) in
-  let same a b =
-    match (a, b) with
-    | Ok fa, Ok fb -> fa = fb
-    | Error ma, Error mb -> ma = mb
-    | _ -> false
-  in
-  if not (same cold warm && same cold uncached) then false
-  else
-    match (fingerprint (E.eval ~config db q), cold) with
-    | Ok (lb, _, _, _), Ok (cb, _, _, _) ->
-        Float.abs (Int64.float_of_bits lb -. Int64.float_of_bits cb) <= legacy_eps
-    | Error _, Error _ -> true
-    | _ -> false
+  match List.map (fun config -> fingerprint (E.eval ~config db q)) runs with
+  | cold :: rest -> List.for_all (( = ) cold) rest
+  | [] -> true
+
+(* random TIDs over the relations of [Q.hierarchical_chain 1..3] *)
+let chain_db ~seed =
+  Gen.random_tid ~seed ~domain_size:(2 + (seed mod 3))
+    (Gen.spec ~density:0.7 "R" 1
+    :: List.init 3 (fun i -> Gen.spec ~density:0.7 (Printf.sprintf "S%d" (i + 1)) 2))
 
 let prop_cached_eval_bit_identical =
   Test_util.qcheck ~count:20 "cached eval bit-identical to cold (query zoo)"
@@ -135,7 +128,12 @@ let prop_cached_eval_bit_identical =
         (fun (e : Q.entry) ->
           let db = db_for e.Q.query ~seed ~domain_size:2 in
           check_identity E.default_config db e.Q.query)
-        Q.all)
+        Q.all
+      &&
+      let db = chain_db ~seed in
+      List.for_all
+        (fun k -> check_identity E.default_config db (Q.hierarchical_chain k))
+        [ 1; 2; 3 ])
 
 let test_bit_identity_under_guard_trips () =
   (* deterministic resource trips (budgets, not wall clocks): every exact

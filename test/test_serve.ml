@@ -276,7 +276,10 @@ let test_deadline_no_degrade_fails_typed () =
 let test_overload_sheds_typed () =
   (* one worker wedged on slow sampling work, capacity 1, no degradation
      watermark: the pipelined burst must shed with the typed overloaded
-     error and never queue unboundedly *)
+     error and never queue unboundedly. The wedge must stay far below the
+     worker stall deadline (30 s by default): a wedge the watchdog dooms
+     is answered with [internal], which this test counts as untyped. The
+     watchdog has its own test in the chaos suite. *)
   let config =
     { Serve.default_config with
       Serve.workers = 1;
@@ -294,7 +297,7 @@ let test_overload_sheds_typed () =
             [ ("id", Json.Int i); ("op", Json.Str "eval");
               ("query", Json.Str h0);
               ("method", Json.Str "karp-luby");
-              ("samples", Json.Int 2_000_000) ]))
+              ("samples", Json.Int 100_000) ]))
   done;
   let ok = ref 0 and shed = ref 0 and other = ref 0 in
   for _ = 1 to n do
