@@ -102,9 +102,10 @@ let method_arg =
     & opt strategy_conv None
     & info [ "method" ] ~docv:"METHOD"
         ~doc:
-          "One of auto, lifted, symmetric, safe-plan, read-once, wmc, obdd, \
-           dpll, karp-luby, world-enum. ($(b,wmc) is the clause-database \
-           counter; explicitly selected it clausifies non-CNF lineage.)")
+          ("One of "
+          ^ String.concat ", " ("auto" :: List.map E.strategy_name E.all_strategies)
+          ^ ". ($(b,wmc) is the clause-database counter; explicitly selected it \
+             clausifies non-CNF lineage.)"))
 
 let samples_arg =
   Arg.(

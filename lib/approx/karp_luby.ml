@@ -52,10 +52,27 @@ let required_samples ~eps ~delta ~clauses =
   let n = 4.0 *. m *. log (2.0 /. delta) /. (eps *. eps) in
   int_of_float (Float.ceil n)
 
+(* [p(F)] is a probability, but [Σwᵢ·E[1/N]] can overshoot 1 by sampling
+   noise on near-certain lineage. Both estimators and the interval go
+   through this one clamp, so a value always lies inside its own interval
+   and both lie inside [0,1]. *)
+let clamp01 x = Float.min 1.0 (Float.max 0.0 x)
+
 let confidence_interval ~delta e =
   let z = normal_quantile (1.0 -. (delta /. 2.0)) in
   let h = z *. e.std_error in
-  (Float.max 0.0 (e.mean -. h), Float.min 1.0 (e.mean +. h))
+  let mean = clamp01 e.mean in
+  (clamp01 (mean -. h), clamp01 (mean +. h))
+
+(* The estimate from the running sums of [1/N] over [samples] draws. *)
+let of_sums ~union_weight ~samples sum sum_sq =
+  let m = float_of_int samples in
+  let mean_z = sum /. m in
+  let var_z = Float.max 0.0 ((sum_sq /. m) -. (mean_z *. mean_z)) in
+  { mean = clamp01 (union_weight *. mean_z);
+    std_error = union_weight *. sqrt (var_z /. m);
+    samples;
+    union_weight }
 
 let clause_weight prob clause = List.fold_left (fun acc v -> acc *. prob v) 1.0 clause
 
@@ -135,13 +152,7 @@ let estimate ?(seed = 42) ?(guard = Guard.unlimited) ~samples ~prob clauses =
           sum := !sum +. z;
           sum_sq := !sum_sq +. (z *. z)
         done;
-        let m = float_of_int samples in
-        let mean_z = !sum /. m in
-        let var_z = Float.max 0.0 ((!sum_sq /. m) -. (mean_z *. mean_z)) in
-        { mean = union_weight *. mean_z;
-          std_error = union_weight *. sqrt (var_z /. m);
-          samples;
-          union_weight }
+        of_sums ~union_weight ~samples !sum !sum_sq
       end
 
 (* ---------- parallel estimator ---------- *)
@@ -236,13 +247,7 @@ let estimate_par ?(seed = 42) ?(guard = Guard.unlimited) ?pool ~samples ~prob cl
             ~reduce:(fun (s, sq) (s', sq') -> (s +. s', sq +. sq'))
             ~init:(0.0, 0.0) nbatches
         in
-        let m = float_of_int samples in
-        let mean_z = sum /. m in
-        let var_z = Float.max 0.0 ((sum_sq /. m) -. (mean_z *. mean_z)) in
-        { mean = union_weight *. mean_z;
-          std_error = union_weight *. sqrt (var_z /. m);
-          samples;
-          union_weight }
+        of_sums ~union_weight ~samples sum sum_sq
       end
 
 let exact_via_sampling_identity ~prob clauses =

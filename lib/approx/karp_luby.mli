@@ -14,6 +14,8 @@
 
 type estimate = {
   mean : float;
+      (** the estimate of [p(F)], clamped to [0,1] — sampling noise can push
+          the raw [Σwᵢ·E[1/N]] just past 1 on near-certain lineage *)
   std_error : float;
   samples : int;
   union_weight : float;  (** Σᵢ wᵢ, an upper bound on p(F) *)
@@ -34,7 +36,8 @@ val required_samples : eps:float -> delta:float -> clauses:int -> int
 
 val confidence_interval : delta:float -> estimate -> float * float
 (** [(lo, hi)] — the normal-approximation [(1-δ)]-confidence interval
-    around [mean], clamped to [0,1]. *)
+    around [mean] (itself clamped to [0,1]), clamped to [0,1]; so
+    [0 ≤ lo ≤ mean ≤ hi ≤ 1]. *)
 
 val estimate :
   ?seed:int ->

@@ -39,15 +39,6 @@ type stats = {
   cache_evictions : int;
 }
 
-let obs_counts (s : stats) : Probdb_obs.Stats.dpll_counts =
-  { Probdb_obs.Stats.branches = s.decisions;
-    unit_propagations = s.unit_propagations;
-    cache_hits = s.cache_hits;
-    cache_queries = s.cache_queries;
-    component_splits = s.component_splits;
-    cache_entries = s.cache_entries;
-    cache_evictions = s.cache_evictions }
-
 type result = { prob : float; circuit : Circuit.t; trace_size : int; stats : stats }
 
 (* Hashed structural cache keys: the cache used to serialise every

@@ -53,10 +53,6 @@ type stats = {
   cache_evictions : int;  (** entries dropped to stay under the entry cap *)
 }
 
-val obs_counts : stats -> Probdb_obs.Stats.dpll_counts
-(** The same counters in the shape of the observability layer's per-query
-    record; used by the engine and the CLI. *)
-
 type result = {
   prob : float;
   circuit : Probdb_kc.Circuit.t;  (** the trace *)

@@ -4,7 +4,6 @@ module Ucq = Probdb_logic.Ucq
 module Lift = Probdb_lifted.Lift
 module Lineage = Probdb_lineage.Lineage
 module Obdd = Probdb_kc.Obdd
-module Dpll = Probdb_dpll.Dpll
 module Wmc = Probdb_cnf.Wmc
 module Plan = Probdb_plans.Plan
 module Prepare = Probdb_prepare.Prepare
@@ -26,9 +25,13 @@ type strategy =
   | Read_once
   | Wmc
   | Obdd
-  | Dpll
   | Karp_luby
   | World_enum
+
+(* The default chain order; every other view of the strategy set (names,
+   the win counters, the CLI help) is derived from this one list. *)
+let all_strategies =
+  [ Lifted; Symmetric; Safe_plan; Read_once; Wmc; Obdd; Karp_luby; World_enum ]
 
 let strategy_name = function
   | Lifted -> "lifted"
@@ -37,28 +40,16 @@ let strategy_name = function
   | Read_once -> "read-once"
   | Wmc -> "wmc"
   | Obdd -> "obdd"
-  | Dpll -> "dpll"
   | Karp_luby -> "karp-luby"
   | World_enum -> "world-enum"
 
-let strategy_of_name = function
-  | "lifted" -> Some Lifted
-  | "symmetric" -> Some Symmetric
-  | "safe-plan" -> Some Safe_plan
-  | "read-once" -> Some Read_once
-  | "wmc" -> Some Wmc
-  | "obdd" -> Some Obdd
-  | "dpll" -> Some Dpll
-  | "karp-luby" -> Some Karp_luby
-  | "world-enum" -> Some World_enum
-  | _ -> None
+let strategy_of_name name = List.find_opt (fun s -> strategy_name s = name) all_strategies
 
 type degrade = { eps : float; delta : float; max_samples : int }
 
 type config = {
   strategies : strategy list;
   obdd_max_nodes : int;
-  dpll_max_decisions : int;
   wmc_max_decisions : int;
   kl_samples : int;
   max_enum_support : int;
@@ -76,11 +67,8 @@ type config = {
 }
 
 let default_config =
-  { strategies =
-      [ Lifted; Symmetric; Safe_plan; Read_once; Wmc; Obdd; Dpll; Karp_luby;
-        World_enum ];
+  { strategies = all_strategies;
     obdd_max_nodes = 200_000;
-    dpll_max_decisions = 2_000_000;
     wmc_max_decisions = 2_000_000;
     kl_samples = 100_000;
     max_enum_support = 22;
@@ -113,8 +101,7 @@ let force_degrade config =
 
 let exact_only =
   { default_config with
-    strategies =
-      [ Lifted; Symmetric; Safe_plan; Read_once; Wmc; Obdd; Dpll; World_enum ] }
+    strategies = List.filter (fun s -> s <> Karp_luby) all_strategies }
 
 (* Process-wide metrics (aggregating across queries, unlike [Stats.t]),
    registered once: a win increments its strategy's counter directly. *)
@@ -127,7 +114,7 @@ let m_latency = Metrics.histogram "engine.query_latency_s"
 let m_wins =
   List.map
     (fun s -> (s, Metrics.counter ("engine.strategy." ^ strategy_name s)))
-    default_config.strategies
+    all_strategies
 
 (* The evaluation-config echo surfaced as the [config] section of
    --stats-json: enough to re-run the query the same way. *)
@@ -141,7 +128,6 @@ let config_fields config =
     ("deadline_s", opt_json (fun f -> Json.Float f) config.deadline_s);
     ("kl_samples", Json.Int config.kl_samples);
     ("obdd_max_nodes", Json.Int config.obdd_max_nodes);
-    ("dpll_max_decisions", Json.Int config.dpll_max_decisions);
     ("wmc_max_decisions", Json.Int config.wmc_max_decisions);
     ("max_enum_support", Json.Int config.max_enum_support);
     ("max_ie_terms", opt_json (fun n -> Json.Int n) config.max_ie_terms);
@@ -295,11 +281,23 @@ let try_safe_plan prepared stats guard db =
         (Option.value ~default:"no safe plan (non-hierarchical)"
            (Prepare.plan_skip prepared))
 
-let try_obdd config stats guard db q =
-  let ctx = Lineage.create db in
-  match Lineage.of_query ctx q with
-  | exception Invalid_argument msg -> Skip msg
-  | f -> (
+(* The grounded tier (WMC, then OBDD) works on the query's full Boolean
+   lineage. It is grounded at most once per evaluation, on first use, so
+   answers from the cheaper tiers never pay for it. A fresh context numbers
+   variables deterministically, so sharing one between the two counters
+   cannot change an answer. *)
+let grounding db q =
+  lazy
+    (Trace.with_span ~cat:"lineage" "lineage.ground" (fun () ->
+         let ctx = Lineage.create db in
+         match Lineage.of_query ctx q with
+         | f -> Ok (ctx, f)
+         | exception Invalid_argument msg -> Error msg))
+
+let try_obdd config stats guard grounded =
+  match Lazy.force grounded with
+  | Error msg -> Skip msg
+  | Ok (ctx, f) -> (
       let manager =
         Obdd.manager ~max_nodes:config.obdd_max_nodes ~guard
           ~order:(Obdd.default_order f) ()
@@ -316,14 +314,13 @@ let try_obdd config stats guard db q =
               limit = float_of_int n;
               spent = float_of_int n })
 
-let try_wmc config stats guard db q =
-  let ctx = Lineage.create db in
-  match Lineage.of_query ctx q with
-  | exception Invalid_argument msg -> Skip msg
-  | f -> (
+let try_wmc config stats guard grounded =
+  match Lazy.force grounded with
+  | Error msg -> Skip msg
+  | Ok (ctx, f) -> (
       (* In the auto chain the clause-database counter only claims lineage
          it translates directly — universal (CNF-shaped) sentences — and
-         leaves DNF lineage to OBDD/DPLL, whose heuristics fit it better.
+         leaves DNF lineage to OBDD, whose variable order fits it better.
          As the only configured strategy (--method wmc) it was explicitly
          requested, so anything else goes through Tseitin clausification. *)
       if config.strategies <> [ Wmc ] && Probdb_boolean.Formula.as_cnf f = None then
@@ -347,29 +344,6 @@ let try_wmc config stats guard db q =
                 limit = float_of_int n;
                 spent = float_of_int n })
 
-let try_dpll config stats guard db q =
-  let ctx = Lineage.create db in
-  match Lineage.of_query ctx q with
-  | exception Invalid_argument msg -> Skip msg
-  | f -> (
-      let dpll_config =
-        { Dpll.default_config with Dpll.max_decisions = config.dpll_max_decisions }
-      in
-      match Dpll.count ~config:dpll_config ~guard ~prob:(Lineage.prob ctx) f with
-      | r ->
-          stats.Stats.dpll <- Some (Dpll.obs_counts r.Dpll.stats);
-          stats.Stats.circuit <- Some (Probdb_kc.Circuit.obs_counts r.Dpll.circuit);
-          stats.Stats.memo_hit_rate <-
-            Stats.hit_rate ~hits:r.Dpll.stats.Dpll.cache_hits
-              ~queries:r.Dpll.stats.Dpll.cache_queries;
-          Ok_outcome (Exact r.Dpll.prob)
-      | exception Dpll.Decision_limit n ->
-          Trip
-            { Guard.resource = Guard.Work "dpll.decisions";
-              site = "dpll.shannon";
-              limit = float_of_int n;
-              spent = float_of_int n })
-
 let sample ?guard config pool ~samples ctx clauses =
   match pool with
   | Some pool ->
@@ -389,25 +363,32 @@ let try_karp_luby prepared config guard pool db =
         let v = Ucq.apply_mode mode est.Karp_luby.mean in
         Ok_outcome (Approximate { value = v; std_error = est.Karp_luby.std_error })
 
-let try_world_enum config db q =
+(* [Brute_force.probability], polled once per world: up to 2^22 worlds at
+   the default support cap take seconds, so the last exact strategy must
+   stop at a deadline or cancellation like every other one. *)
+let try_world_enum config guard db q =
   if Core.Tid.support_size db > config.max_enum_support then
     Skip
       (Printf.sprintf "support %d exceeds enumeration budget %d"
          (Core.Tid.support_size db) config.max_enum_support)
-  else Ok_outcome (Exact (Probdb_logic.Brute_force.probability db q))
+  else
+    Ok_outcome
+      (Exact
+         (Core.Worlds.probability db (fun w ->
+              Guard.poll guard ~site:"enum.world";
+              Probdb_logic.Semantics.holds_in_tid db w q)))
 
-let attempt prepared config stats guard pool db q s =
+let attempt prepared config stats guard pool grounded db q s =
   let run () =
     match s with
     | Lifted -> try_lifted stats guard pool db q
     | Symmetric -> try_symmetric guard db q
     | Safe_plan -> try_safe_plan prepared stats guard db
     | Read_once -> try_read_once prepared db
-    | Wmc -> try_wmc config stats guard db q
-    | Obdd -> try_obdd config stats guard db q
-    | Dpll -> try_dpll config stats guard db q
+    | Wmc -> try_wmc config stats guard grounded
+    | Obdd -> try_obdd config stats guard grounded
     | Karp_luby -> try_karp_luby prepared config guard pool db
-    | World_enum -> try_world_enum config db q
+    | World_enum -> try_world_enum config guard db q
   in
   (* Every trial is a span on the trace timeline and a GC-delta region:
      the trace shows which strategy the time went to, the stats show which
@@ -482,6 +463,7 @@ let eval ?(config = default_config) ?stats ?prepared db q =
   let guard = guard_of_config config in
   let pool = pool_of_config config in
   let prepared = acquire_prepared config stats prepared q in
+  let grounded = grounding db q in
   (* With degradation on, Karp–Luby is reserved for the fallback so that
      [degraded = true] means exactly "no exact strategy completed". *)
   let strategies =
@@ -568,7 +550,7 @@ let eval ?(config = default_config) ?stats ?prepared db q =
            subtract it so Classify/Solve only get what is really theirs. *)
         let plan_before = stats.Stats.plan_s in
         let result, dt =
-          Clock.time (fun () -> attempt prepared config stats guard pool db q s)
+          Clock.time (fun () -> attempt prepared config stats guard pool grounded db q s)
         in
         let dt = Float.max 0.0 (dt -. (stats.Stats.plan_s -. plan_before)) in
         match result with

@@ -15,16 +15,17 @@
     + {e read-once factorisation} — when the monotone DNF lineage is
       read-once (e.g. any hierarchical CQ lineage), probability in linear
       time (Golumbic et al., Sec. 7 context);
-    + {e clause-database WMC} (Sec. 7) — exact, grounded; a sharpSAT-style
-      counter ([Probdb_cnf.Wmc]) with watched-literal propagation,
-      component decomposition and a bounded component cache. In the auto
-      chain it claims exactly the CNF-shaped (universal) lineages it
+    + {e clause-database WMC} (Sec. 7) — exact, grounded; DPLL with
+      caching and components as a sharpSAT-style counter
+      ([Probdb_cnf.Wmc]): watched-literal propagation, component
+      decomposition, a bounded component cache, a decision budget. In the
+      auto chain it claims exactly the CNF-shaped (universal) lineages it
       translates directly; picked explicitly ([--method wmc] /
       [strategies = [Wmc]]) it clausifies anything;
     + {e knowledge compilation to OBDD} (Sec. 7) — exact, grounded; blows
-      up on hard queries and is capped by a node budget;
-    + {e DPLL with caching and components} (Sec. 7) — exact, grounded,
-      capped by a decision budget;
+      up on hard queries and is capped by a node budget. WMC and OBDD are
+      the grounded tier: the query's lineage is built at most once per
+      evaluation, on first use, and shared by both;
     + {e Karp–Luby sampling} on the DNF lineage — an FPRAS for monotone
       UCQs when everything exact has failed;
     + {e possible-world enumeration} — the last resort for tiny databases.
@@ -43,16 +44,20 @@ type strategy =
   | Read_once
   | Wmc
   | Obdd
-  | Dpll
   | Karp_luby
   | World_enum
+
+val all_strategies : strategy list
+(** Every strategy, in the default chain order above — the one list the
+    name table, the per-strategy win counters and the CLI's [--method]
+    help are derived from. *)
 
 val strategy_name : strategy -> string
 
 val strategy_of_name : string -> strategy option
-(** Inverse of {!strategy_name} — the one name table shared by the CLI's
-    [--method] parser and the serve protocol's ["method"] field. [None] on
-    unknown names (and on ["auto"], which means "no override"). *)
+(** Inverse of {!strategy_name} over {!all_strategies} — shared by the
+    CLI's [--method] parser and the serve protocol's ["method"] field.
+    [None] on unknown names (and on ["auto"], which means "no override"). *)
 
 type degrade = {
   eps : float;  (** target relative error of the fallback approximation *)
@@ -65,7 +70,6 @@ type degrade = {
 type config = {
   strategies : strategy list;  (** tried in order *)
   obdd_max_nodes : int;
-  dpll_max_decisions : int;
   wmc_max_decisions : int;
       (** decision cap of the clause-database WMC strategy (its component
           cache is additionally bounded, see [Probdb_cnf.Wmc.config]) *)
@@ -123,8 +127,8 @@ type config = {
 }
 
 val default_config : config
-(** All nine strategies in the order above; 200k OBDD nodes, 2M decisions
-    (DPLL and WMC each), 100k Karp–Luby samples; no deadline, no budgets,
+(** All eight strategies ({!all_strategies}); 200k OBDD nodes, 2M WMC
+    decisions, 100k Karp–Luby samples; no deadline, no budgets,
     no fault; degradation on at [eps = 0.1], [delta = 0.05], at most 20k
     samples; one domain (sequential). *)
 
@@ -154,7 +158,7 @@ type report = {
   skipped : (strategy * string) list;  (** earlier methods and why they failed *)
   stats : Probdb_obs.Stats.t;
       (** per-query observability record: phase timings, lifted-rule tally,
-          DPLL counters, circuit sizes, plan cardinalities (docs/STATS.md) *)
+          WMC counters, circuit sizes, plan cardinalities (docs/STATS.md) *)
 }
 
 exception No_method of (strategy * string) list
@@ -197,7 +201,7 @@ val eval :
     - a {!Probdb_guard.Guard.t} built from the config's [deadline_s],
       budgets, heap watermark and [fault] interrupts runaway strategies;
       each interruption is recorded as a typed [Tripped] step in the
-      answer's degradation chain (solver-internal caps — OBDD nodes, DPLL
+      answer's degradation chain (solver-internal caps — OBDD nodes, WMC
       decisions — are recorded the same way);
     - when every exact strategy is skipped or tripped and [config.degrade]
       is [Some _], the engine degrades to the Karp–Luby

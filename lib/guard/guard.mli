@@ -15,9 +15,10 @@
       instances.
 
     Every solver in the repository polls its guard at its recursion points
-    ([Dpll] per Shannon expansion, [Obdd] per node allocation, [Lift] per
-    rule application, [Plan] per operator, [Wfomc] per composition,
-    [Karp_luby] per sample). Exhaustion of any resource raises the single
+    ([Wmc] per decision, [Dpll] per Shannon expansion, [Obdd] per node
+    allocation, [Lift] per rule application, [Plan] per operator, [Wfomc]
+    per composition, [Karp_luby] per sample, the engine's world enumeration
+    per world). Exhaustion of any resource raises the single
     exception {!Exhausted} carrying a {!trip} that says {e which} budget
     tripped and {e where} — the engine records it in the degradation chain
     and moves on to the next strategy.
@@ -35,7 +36,7 @@ type resource =
 
 type trip = {
   resource : resource;  (** which budget tripped *)
-  site : string;  (** the poll site, e.g. ["dpll.shannon"] *)
+  site : string;  (** the poll site, e.g. ["wmc.decide"] *)
   limit : float;  (** the configured limit (seconds, words, or work units) *)
   spent : float;  (** how much had been spent when the trip fired *)
 }
@@ -84,8 +85,8 @@ val budget_spent : t -> string -> int
 
 val budget_limit : t -> string -> int option
 (** The configured limit of the named budget, if one was installed. Solvers
-    use this to read sizing hints off the guard (e.g. the DPLL cache cap
-    from ["dpll.cache_entries"]) without a second configuration channel. *)
+    use this to read sizing hints off the guard (e.g. the WMC cache cap
+    from ["wmc.cache_entries"]) without a second configuration channel. *)
 
 val heap_watermark_words : t -> int option
 (** The heap watermark the guard enforces, if any. Caches consult it to
@@ -142,6 +143,6 @@ val resource_name : resource -> string
 
 val describe : trip -> string
 (** One line, e.g.
-    ["deadline 2.000s exhausted at dpll.shannon (elapsed 2.013s)"]. *)
+    ["deadline 2.000s exhausted at wmc.decide (elapsed 2.013s)"]. *)
 
 val pp_trip : Format.formatter -> trip -> unit

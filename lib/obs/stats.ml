@@ -9,15 +9,6 @@ type lifted_rules = {
   base_lookups : int;
 }
 
-type dpll_counts = {
-  branches : int;
-  unit_propagations : int;
-  cache_hits : int;
-  cache_queries : int;
-  component_splits : int;
-  cache_entries : int;
-  cache_evictions : int;
-}
 
 type wmc_counts = {
   wmc_decisions : int;
@@ -86,7 +77,6 @@ type t = {
   mutable plan_s : float;
   mutable solve_s : float;
   mutable lifted : lifted_rules option;
-  mutable dpll : dpll_counts option;
   mutable wmc : wmc_counts option;
   mutable circuit : circuit_counts option;
   mutable plan : plan_counts option;
@@ -119,7 +109,6 @@ let create () =
     plan_s = 0.0;
     solve_s = 0.0;
     lifted = None;
-    dpll = None;
     wmc = None;
     circuit = None;
     plan = None;
@@ -209,16 +198,6 @@ let lifted_to_json (l : lifted_rules) =
       ("negations", Json.Int l.negations);
       ("base_lookups", Json.Int l.base_lookups) ]
 
-let dpll_to_json (d : dpll_counts) =
-  Json.Obj
-    [ ("branches", Json.Int d.branches);
-      ("unit_propagations", Json.Int d.unit_propagations);
-      ("cache_hits", Json.Int d.cache_hits);
-      ("cache_queries", Json.Int d.cache_queries);
-      ("component_splits", Json.Int d.component_splits);
-      ("cache_entries", Json.Int d.cache_entries);
-      ("cache_evictions", Json.Int d.cache_evictions) ]
-
 let wmc_to_json (w : wmc_counts) =
   Json.Obj
     [ ("decisions", Json.Int w.wmc_decisions);
@@ -292,7 +271,6 @@ let to_json t =
             ("solve_s", Json.Float t.solve_s);
             ("total_s", Json.Float (total_s t)) ] );
       ("lifted_rules", opt lifted_to_json t.lifted);
-      ("dpll", opt dpll_to_json t.dpll);
       ("wmc", opt wmc_to_json t.wmc);
       ("circuit", opt circuit_to_json t.circuit);
       ("plan", opt plan_to_json t.plan);
@@ -358,14 +336,6 @@ let pp ppf t =
         "                 inclusion-exclusion %d (terms %d, cancelled %d) | negations %d \
          | base lookups %d@."
         l.ie_expansions l.ie_terms l.cancelled_terms l.negations l.base_lookups
-  | None -> ());
-  (match t.dpll with
-  | Some d ->
-      line
-        "dpll             branches %d | unit propagations %d | cache %d/%d (evicted %d) \
-         | components %d | cached subformulas %d@."
-        d.branches d.unit_propagations d.cache_hits d.cache_queries d.cache_evictions
-        d.component_splits d.cache_entries
   | None -> ());
   (match t.wmc with
   | Some w ->

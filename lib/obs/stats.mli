@@ -2,15 +2,15 @@
 
     One {!t} is created per query evaluation (by [Probdb_engine.Engine] or
     by hand) and filled as the engine works through its strategies: phase
-    wall-clock timings, the lifted-inference rule tally, DPLL search
+    wall-clock timings, the lifted-inference rule tally, WMC search
     counters, compiled-circuit sizes, and safe-plan cardinalities. The
     record is deliberately flat and mutable — recording must stay cheap
     enough to leave on for every query — and {!to_json} defines the stable
     machine-readable schema documented field by field in [docs/STATS.md].
 
     Which optional section is populated depends on the winning strategy:
-    [lifted] for lifted inference, [dpll] + [circuit] for the DPLL prover,
-    [circuit] for OBDD compilation, [plan] for safe extensional plans.
+    [lifted] for lifted inference, [wmc] + [circuit] for the clause-database
+    counter, [circuit] for OBDD compilation, [plan] for safe extensional plans.
     Sections of strategies that were tried but skipped stay [None]. *)
 
 type lifted_rules = {
@@ -25,21 +25,10 @@ type lifted_rules = {
   base_lookups : int;  (** ground-tuple probability reads *)
 }
 
-type dpll_counts = {
-  branches : int;  (** Shannon expansions (decisions) *)
-  unit_propagations : int;
-      (** branches that collapsed to a constant after conditioning *)
-  cache_hits : int;
-  cache_queries : int;
-  component_splits : int;
-  cache_entries : int;  (** subformulas currently memoised *)
-  cache_evictions : int;  (** entries dropped to stay under the cache cap *)
-}
-
 (** Counters of the clause-database weighted model counter
-    ([Probdb_cnf.Wmc]); the [wmc_]-prefixed names avoid clashing with the
-    {!dpll_counts} fields in this flat namespace — the JSON keys drop the
-    prefix (see [docs/STATS.md]). *)
+    ([Probdb_cnf.Wmc]); the [wmc_]-prefixed names keep fields distinct in
+    this flat namespace — the JSON keys drop the prefix (see
+    [docs/STATS.md]). *)
 type wmc_counts = {
   wmc_decisions : int;  (** branching decisions *)
   propagations : int;  (** literals implied by watched-literal propagation *)
@@ -134,7 +123,6 @@ type t = {
   mutable plan_s : float;  (** safe-plan construction *)
   mutable solve_s : float;  (** the winning strategy's evaluation *)
   mutable lifted : lifted_rules option;
-  mutable dpll : dpll_counts option;
   mutable wmc : wmc_counts option;
   mutable circuit : circuit_counts option;
   mutable plan : plan_counts option;

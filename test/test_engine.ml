@@ -51,7 +51,7 @@ let test_budget_falls_to_sampling () =
   (* a larger H0 instance with tiny exact budgets must end at Karp-Luby *)
   let db = Gen.h0_db ~seed:2 ~n:10 () in
   let config =
-    { E.default_config with E.obdd_max_nodes = 10; E.dpll_max_decisions = 10;
+    { E.default_config with E.obdd_max_nodes = 10; E.wmc_max_decisions = 10;
       E.max_enum_support = 5; E.kl_samples = 60_000 }
   in
   let r = E.evaluate ~config db Q.h0.Q.query in
@@ -73,7 +73,7 @@ let test_no_method () =
 let test_safe_plan_strategy () =
   (* with lifted disabled, hierarchical CQs answer via a safe plan *)
   let db = db_for Q.q_hier.Q.query ~seed:8 ~domain_size:3 in
-  let config = { E.default_config with E.strategies = [ E.Safe_plan; E.Dpll ] } in
+  let config = { E.default_config with E.strategies = [ E.Safe_plan; E.Obdd ] } in
   let r = E.evaluate ~config db Q.q_hier.Q.query in
   Alcotest.(check string) "safe-plan answers" "safe-plan" (E.strategy_name r.E.strategy);
   Test_util.check_float "exact"
@@ -88,7 +88,7 @@ let test_all_exact_strategies_agree () =
       let config = { E.default_config with E.strategies = [ s ] } in
       let r = E.evaluate ~config db Q.q_j.Q.query in
       Test_util.check_float (E.strategy_name s) truth (E.value r.E.outcome))
-    [ E.Lifted; E.Obdd; E.Dpll; E.World_enum ]
+    [ E.Lifted; E.Wmc; E.Obdd; E.World_enum ]
 
 let test_general_fo_via_grounding () =
   (* sentences outside the unate ∃*/∀* fragment still evaluate *)
@@ -128,7 +128,7 @@ let test_read_once_strategy () =
   (* with everything cheaper disabled, hierarchical lineages answer via
      read-once factorisation in linear time *)
   let db = db_for Q.q_hier.Q.query ~seed:9 ~domain_size:3 in
-  let config = { E.default_config with E.strategies = [ E.Read_once; E.Dpll ] } in
+  let config = { E.default_config with E.strategies = [ E.Read_once; E.Obdd ] } in
   let r = E.evaluate ~config db Q.q_hier.Q.query in
   Alcotest.(check string) "read-once answers" "read-once" (E.strategy_name r.E.strategy);
   Test_util.check_float "exact"
@@ -137,8 +137,24 @@ let test_read_once_strategy () =
   (* H0's lineage is not read-once *)
   let db2 = db_for Q.h0.Q.query ~seed:9 ~domain_size:3 in
   let r2 = E.evaluate ~config db2 Q.h0.Q.query in
-  Alcotest.(check string) "falls through to dpll" "dpll" (E.strategy_name r2.E.strategy);
+  Alcotest.(check string) "falls through to obdd" "obdd" (E.strategy_name r2.E.strategy);
   Alcotest.(check bool) "read-once skipped" true (List.mem_assoc E.Read_once r2.E.skipped)
+
+let test_strategy_names () =
+  (* one name table: every strategy round-trips through its name, in the
+     default chain order, and the retired tree-DPLL name is unknown *)
+  Alcotest.(check int) "eight strategies" 8 (List.length E.all_strategies);
+  Alcotest.(check bool) "default chain is the full list" true
+    (E.default_config.E.strategies = E.all_strategies);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (E.strategy_name s) true
+        (E.strategy_of_name (E.strategy_name s) = Some s))
+    E.all_strategies;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is unknown") true (E.strategy_of_name name = None))
+    [ "dpll"; "auto"; "" ]
 
 let test_answers () =
   let t xs = List.map Core.Value.int xs in
@@ -211,6 +227,7 @@ let suites =
         Alcotest.test_case "beyond-rules query still answers" `Quick test_ranking_limited_query_still_answers;
         Alcotest.test_case "symmetric strategy" `Quick test_symmetric_strategy;
         Alcotest.test_case "read-once strategy" `Quick test_read_once_strategy;
+        Alcotest.test_case "strategy name table" `Quick test_strategy_names;
         Alcotest.test_case "non-Boolean answers" `Quick test_answers;
         Alcotest.test_case "expected answer count" `Quick test_expected_answer_count;
         Alcotest.test_case "report printing" `Quick test_report_printing;

@@ -31,19 +31,20 @@ let test_safe_query_no_ie () =
       Alcotest.(check bool) "some rules fired" true
         (rules.Stats.independent_joins + rules.Stats.separator_steps > 0)
 
-(* (b) Forcing an unsafe query through DPLL must surface nonzero branch
-   counts in the stats record. *)
-let test_unsafe_query_dpll_counts () =
+(* (b) Forcing an unsafe query through the clause-database counter must
+   surface nonzero decision counts in the stats record. *)
+let test_unsafe_query_wmc_counts () =
   let db = Gen.h0_db ~seed:4 ~n:3 () in
-  let config = { E.default_config with E.strategies = [ E.Dpll ] } in
+  let config = { E.default_config with E.strategies = [ E.Wmc ] } in
   let stats = Stats.create () in
   let r = E.evaluate ~config ~stats db Q.h0.Q.query in
-  Alcotest.(check string) "dpll wins" "dpll" (E.strategy_name r.E.strategy);
-  match stats.Stats.dpll with
-  | None -> Alcotest.fail "dpll counts not populated"
-  | Some d ->
-      Alcotest.(check bool) "branches > 0" true (d.Stats.branches > 0);
-      Alcotest.(check bool) "cache queried" true (d.Stats.cache_queries >= d.Stats.cache_hits);
+  Alcotest.(check string) "wmc wins" "wmc" (E.strategy_name r.E.strategy);
+  match stats.Stats.wmc with
+  | None -> Alcotest.fail "wmc counts not populated"
+  | Some w ->
+      Alcotest.(check bool) "decisions > 0" true (w.Stats.wmc_decisions > 0);
+      Alcotest.(check bool) "cache queried" true
+        (w.Stats.wmc_cache_queries >= w.Stats.wmc_cache_hits);
       (match stats.Stats.circuit with
       | None -> Alcotest.fail "trace circuit counts not populated"
       | Some c -> Alcotest.(check bool) "trace nonempty" true (c.Stats.nodes > 0))
@@ -65,7 +66,7 @@ let test_stats_json_roundtrip () =
           match Json.member key reparsed with
           | None -> Alcotest.failf "missing member %S" key
           | Some _ -> ())
-        [ "query"; "strategy"; "probability"; "phases"; "lifted_rules"; "dpll";
+        [ "query"; "strategy"; "probability"; "phases"; "lifted_rules"; "wmc";
           "circuit"; "plan"; "skipped"; "degraded"; "ci_low"; "ci_high"; "samples";
           "chain" ]
 
@@ -413,8 +414,8 @@ let suites =
       [
         Alcotest.test_case "safe query: zero inclusion-exclusion" `Quick
           test_safe_query_no_ie;
-        Alcotest.test_case "unsafe query via DPLL: nonzero branches" `Quick
-          test_unsafe_query_dpll_counts;
+        Alcotest.test_case "unsafe query via WMC: nonzero decisions" `Quick
+          test_unsafe_query_wmc_counts;
         Alcotest.test_case "stats JSON round-trips" `Quick test_stats_json_roundtrip;
         Alcotest.test_case "timers monotone and non-negative" `Quick
           test_timers_nonnegative;

@@ -142,7 +142,6 @@ let test_bit_identity_under_guard_trips () =
   let starved =
     { E.default_config with
       E.obdd_max_nodes = 10;
-      dpll_max_decisions = 10;
       wmc_max_decisions = 10;
       max_enum_support = 2;
       max_ie_terms = Some 1;
@@ -274,17 +273,21 @@ let test_serve_engine_config_hoisted () =
   (* per-request overrides still land *)
   let c2 =
     Serve.request_engine_config server
-      { (plain_request "exists x. R(x)") with Protocol.meth = Some "dpll" }
+      { (plain_request "exists x. R(x)") with Protocol.meth = Some "wmc" }
   in
   (match c2.E.strategies with
-  | [ E.Dpll ] -> ()
+  | [ E.Wmc ] -> ()
   | _ -> Alcotest.fail "method override lost");
-  match
-    Serve.request_engine_config server
-      { (plain_request "exists x. R(x)") with Protocol.meth = Some "quantum" }
-  with
-  | exception Protocol.Bad _ -> ()
-  | _ -> Alcotest.fail "unknown method must raise"
+  (* the retired tree-DPLL method is as unknown as a made-up one *)
+  List.iter
+    (fun meth ->
+      match
+        Serve.request_engine_config server
+          { (plain_request "exists x. R(x)") with Protocol.meth = Some meth }
+      with
+      | exception Protocol.Bad _ -> ()
+      | _ -> Alcotest.failf "unknown method %S must raise" meth)
+    [ "quantum"; "dpll" ]
 
 let float_of name j =
   match Json.member name j with

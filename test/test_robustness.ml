@@ -102,7 +102,7 @@ let test_missing_relation_consistency () =
       match E.evaluate ~config db q with
       | r -> Test_util.check_float (E.strategy_name s) truth (E.value r.E.outcome)
       | exception E.No_method _ -> () (* refusing is also fine *))
-    [ E.Obdd; E.Dpll; E.World_enum; E.Read_once ];
+    [ E.Obdd; E.Wmc; E.World_enum; E.Read_once ];
   (* a universally-quantified query over the missing relation is true *)
   let q2 = parse_s "forall x y. T(y) => R(x)" in
   Test_util.check_float "vacuous forall" 1.0 (E.probability db q2)
@@ -122,7 +122,7 @@ let test_zero_and_one_probabilities () =
       match E.evaluate ~config db q with
       | r -> Test_util.check_float (E.strategy_name s) 1.0 (E.value r.E.outcome)
       | exception E.No_method _ -> ())
-    [ E.Lifted; E.Obdd; E.Dpll; E.World_enum ];
+    [ E.Lifted; E.Obdd; E.Wmc; E.World_enum ];
   (* certain complement *)
   let q2 = parse_s "exists x. R(x) && !S(x,x)" in
   Test_util.check_float "mixed negation with extremes"
@@ -197,7 +197,7 @@ let test_nonstandard_probabilities () =
       let config = { E.default_config with E.strategies = [ s ] } in
       let r = E.evaluate ~config db q in
       Test_util.check_float (E.strategy_name s) truth (E.value r.E.outcome))
-    [ E.Lifted; E.Obdd; E.Dpll ];
+    [ E.Lifted; E.Obdd; E.Wmc ];
   let config = { E.default_config with E.strategies = [ E.Karp_luby ] } in
   match E.evaluate ~config db q with
   | exception E.No_method [ (E.Karp_luby, _) ] -> ()
@@ -215,6 +215,11 @@ let unsafe_db () =
       Core.Relation.of_list "T" [ (t [ 0 ], 0.8); (t [ 1 ], 0.3) ] ]
 
 let unsafe_q () = parse_s "exists x y. R(x) && S(x,y) && T(y)"
+
+(* The complement of [unsafe_q]: its lineage is CNF-shaped (one clause per
+   pair), so WMC claims it even when it shares the chain with OBDD, and the
+   Karp–Luby fallback samples it through the monotone DNF of [unsafe_q]. *)
+let cnf_q () = parse_s "forall x y. !R(x) || !S(x,y) || !T(y)"
 
 let test_guard_primitives () =
   (* unlimited never trips *)
@@ -246,10 +251,10 @@ let test_guard_primitives () =
 let test_deadline_trip_degrades () =
   (* inject a deadline trip at the very first poll: every guarded exact
      strategy trips immediately and eval must degrade to Karp-Luby *)
-  let db = unsafe_db () and q = unsafe_q () in
+  let db = unsafe_db () and q = cnf_q () in
   let config =
     { E.default_config with
-      E.strategies = [ E.Obdd; E.Dpll ];
+      E.strategies = [ E.Wmc; E.Obdd ];
       fault = Some (Guard.Trip_at_poll { poll = 1; resource = Guard.Deadline });
       degrade = Some { E.eps = 0.05; delta = 0.05; max_samples = 30_000 } }
   in
@@ -277,20 +282,20 @@ let test_deadline_trip_degrades () =
       Alcotest.(check bool) "stats.degraded" true a.Answer.stats.Probdb_obs.Stats.degraded
 
 let test_decision_budget_trip () =
-  (* a tiny DPLL decision budget must surface as a typed Tripped step, and
+  (* a tiny WMC decision budget must surface as a typed Tripped step, and
      with degradation off the failure is a typed Exhausted error *)
   let db = unsafe_db () and q = unsafe_q () in
   let config =
     { E.default_config with
-      E.strategies = [ E.Dpll ];
-      dpll_max_decisions = 1;
+      E.strategies = [ E.Wmc ];
+      wmc_max_decisions = 1;
       degrade = None }
   in
   match E.eval ~config db q with
   | Ok _ -> Alcotest.fail "expected failure with a 1-decision budget and no fallback"
   | Error (Err.Exhausted { resource; site; _ }) ->
-      Alcotest.(check string) "resource" "dpll.decisions" resource;
-      Alcotest.(check string) "site" "dpll.shannon" site
+      Alcotest.(check string) "resource" "wmc.decisions" resource;
+      Alcotest.(check string) "site" "wmc.decide" site
   | Error e -> Alcotest.fail ("expected Exhausted, got: " ^ Err.render e)
 
 let test_degraded_answer_close_to_exact () =
@@ -299,8 +304,8 @@ let test_degraded_answer_close_to_exact () =
   let truth = L.Brute_force.probability db q in
   let config =
     { E.default_config with
-      E.strategies = [ E.Dpll ];
-      dpll_max_decisions = 1;
+      E.strategies = [ E.Wmc ];
+      wmc_max_decisions = 1;
       degrade = Some { E.eps = 0.02; delta = 0.01; max_samples = 60_000 } }
   in
   match E.eval ~config db q with
@@ -335,33 +340,37 @@ let test_degradation_bookkeeping_complete () =
      whose steps all name a strategy and a kind, a confidence interval
      bracketing the value, a positive sample count, and the same facts
      mirrored in [Stats.t]. *)
-  let db = unsafe_db () and q = unsafe_q () in
+  let db = unsafe_db () in
   let d = { E.eps = 0.05; delta = 0.05; max_samples = 20_000 } in
   let configs seed =
     [ ( "trip-at-poll",
         { E.default_config with
           E.seed;
-          strategies = [ E.Obdd; E.Dpll ];
+          strategies = [ E.Wmc; E.Obdd ];
           fault = Some (Guard.Trip_at_poll { poll = 1; resource = Guard.Deadline });
-          degrade = Some d } );
+          degrade = Some d },
+        cnf_q () );
       ( "tiny-decision-budget",
         { E.default_config with
           E.seed;
-          strategies = [ E.Dpll ];
-          dpll_max_decisions = 1;
-          degrade = Some d } );
+          strategies = [ E.Wmc ];
+          wmc_max_decisions = 1;
+          degrade = Some d },
+        unsafe_q () );
       ( "force-degrade",
-        E.force_degrade { E.default_config with E.seed; degrade = Some d } );
+        E.force_degrade { E.default_config with E.seed; degrade = Some d },
+        unsafe_q () );
       ( "force-degrade-no-targets",
         (* degradation was off in the base config: force_degrade installs
            the defaults, and the bookkeeping contract still holds *)
-        E.force_degrade { E.default_config with E.seed; degrade = None } )
+        E.force_degrade { E.default_config with E.seed; degrade = None },
+        unsafe_q () )
     ]
   in
   List.iter
     (fun seed ->
       List.iter
-        (fun (name, config) ->
+        (fun (name, config, q) ->
           let ctx fmt = Printf.ksprintf (fun s -> Printf.sprintf "%s/seed=%d: %s" name seed s) fmt in
           let stats = Probdb_obs.Stats.create () in
           match E.eval ~config ~stats db q with
@@ -419,6 +428,55 @@ let test_no_method_stays_typed () =
   | Error e -> Alcotest.fail ("expected No_method, got: " ^ Err.render e)
   | Ok _ -> Alcotest.fail "safe-plan cannot answer a non-hierarchical query"
 
+(* ---------- Karp–Luby answers stay inside their interval ---------- *)
+
+(* H0 over the domain-10 complete bipartite TID is near-certain: there the
+   raw estimate Σwᵢ·E[1/N] lands just above 1 by sampling noise. *)
+let near_one_db () = Probdb_workload.Gen.h0_db ~seed:1 ~n:10 ()
+
+let test_karp_luby_inside_interval () =
+  let db = near_one_db () in
+  (* forced by backpressure, and reached by the chain itself once OBDD
+     trips its node cap; the complement goes through the same fallback in
+     complemented mode *)
+  let forced = E.force_degrade E.default_config in
+  let reached = { E.default_config with E.obdd_max_nodes = 1_000 } in
+  List.iter
+    (fun (name, config, q) ->
+      match E.eval ~config db q with
+      | Error e -> Alcotest.failf "%s: expected a degraded answer, got: %s" name (Err.render e)
+      | Ok a -> (
+          Alcotest.(check bool) (name ^ ": degraded") true a.Answer.degraded;
+          match a.Answer.confidence with
+          | None -> Alcotest.failf "%s: degraded answer without an interval" name
+          | Some c ->
+              let v = a.Answer.value in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: 0 <= %.17g <= %.17g <= %.17g <= 1" name
+                   c.Answer.ci_low v c.Answer.ci_high)
+                true
+                (0.0 <= c.Answer.ci_low && c.Answer.ci_low <= v && v <= c.Answer.ci_high
+               && c.Answer.ci_high <= 1.0)))
+    [ ("forced", forced, unsafe_q ());
+      ("chain-reached", reached, unsafe_q ());
+      ("forced complement", forced, cnf_q ()) ]
+
+let test_obdd_trip_degrades_without_dpll () =
+  (* the default chain on H0: WMC skips the DNF lineage, OBDD trips its
+     node cap, and the engine degrades straight to Karp–Luby *)
+  let db = near_one_db () in
+  let config = { E.default_config with E.obdd_max_nodes = 1_000 } in
+  match E.eval ~config db (unsafe_q ()) with
+  | Error e -> Alcotest.fail ("expected a degraded answer, got: " ^ Err.render e)
+  | Ok a ->
+      Alcotest.(check string) "strategy" "karp-luby" a.Answer.strategy;
+      Alcotest.(check (list (pair string string)))
+        "chain"
+        [ ("lifted", "skipped"); ("symmetric", "skipped"); ("safe-plan", "skipped");
+          ("read-once", "skipped"); ("wmc", "skipped"); ("obdd", "tripped");
+          ("world-enum", "skipped") ]
+        (List.map (fun s -> (Answer.step_strategy s, Answer.step_kind s)) a.Answer.chain)
+
 let suites =
   [
     ( "robustness",
@@ -445,5 +503,9 @@ let suites =
         Alcotest.test_case "no-method stays typed" `Quick test_no_method_stays_typed;
         Alcotest.test_case "degradation bookkeeping complete" `Quick
           test_degradation_bookkeeping_complete;
+        Alcotest.test_case "karp-luby answer inside its interval" `Quick
+          test_karp_luby_inside_interval;
+        Alcotest.test_case "obdd trip degrades without dpll" `Quick
+          test_obdd_trip_degrades_without_dpll;
       ] );
   ]

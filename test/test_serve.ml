@@ -144,6 +144,9 @@ let test_malformed_requests () =
   (* unknown method: recognised at evaluation, still typed *)
   expect_error ~cls:"bad-request" ~code:10
     (Client.eval c ~fields:[ ("method", Json.Str "quantum") ] "exists x. R(x)");
+  (* ...including the retired tree-DPLL method *)
+  expect_error ~cls:"bad-request" ~code:10
+    (Client.eval c ~fields:[ ("method", Json.Str "dpll") ] "exists x. R(x)");
   (* out-of-range numeric fields: bad-request, not an internal engine
      error surfacing from a guard or sampler invariant *)
   expect_error ~cls:"bad-request" ~code:10

@@ -103,7 +103,7 @@ let test_engine_bit_identity () =
       (E.Safe_plan, "exists x y. R(x) && S(x,y)");
       (E.Wmc, "forall x y. R(x) || S(x,y)");
       (E.Obdd, "exists x y. R(x) && S(x,y) && T(y)");
-      (E.Dpll, "exists x y. R(x) && S(x,y) && T(y)");
+      (E.Wmc, "exists x y. R(x) && S(x,y) && T(y)");
       (E.Karp_luby, "exists x y. R(x) && S(x,y) && T(y)") ]
   in
   List.iter

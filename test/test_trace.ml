@@ -189,6 +189,41 @@ let test_domain_lanes () =
   (* one process_name + one thread_name per lane *)
   Alcotest.(check int) "metadata per lane" (1 + List.length lanes) (List.length metas)
 
+(* (h) The grounded tier grounds at most once per evaluation: WMC and OBDD
+   share one lineage, and answers from the cheaper tiers never build it. *)
+let test_grounded_tier_grounds_once () =
+  isolated @@ fun () ->
+  let groundings config db q =
+    (* explicit capacity: the ring-overflow test leaves a tiny one behind *)
+    Trace.enable ~capacity:65_536 ();
+    let r = E.evaluate ~config db (L.Parser.parse_sentence q) in
+    let n =
+      List.length
+        (List.filter
+           (fun (e : Trace.event) -> e.Trace.kind = Trace.Begin && e.Trace.name = "lineage.ground")
+           (Trace.events ()))
+    in
+    Trace.disable ();
+    (E.strategy_name r.E.strategy, n)
+  in
+  let db =
+    Gen.random_tid ~seed:5 ~domain_size:3
+      [ Gen.spec ~density:0.8 "R" 1; Gen.spec ~density:0.8 "S" 2; Gen.spec ~density:0.8 "T" 1 ]
+  in
+  let check name want got = Alcotest.(check (pair string int)) name want got in
+  (* WMC skips the DNF lineage it was handed, OBDD answers from the same one *)
+  check "h0: wmc skips, obdd wins" ("obdd", 1)
+    (groundings E.default_config db "exists x y. R(x) && S(x,y) && T(y)");
+  (* WMC claims the CNF lineage and trips; OBDD reuses it *)
+  check "wmc trips, obdd wins" ("obdd", 1)
+    (groundings
+       { E.default_config with E.strategies = [ E.Wmc; E.Obdd ]; wmc_max_decisions = 1 }
+       db "forall x y. !R(x) || !S(x,y) || !T(y)");
+  check "safe plan never grounds" ("safe-plan", 0)
+    (groundings E.default_config db "exists x y. R(x) && S(x,y)");
+  check "lifted never grounds" ("lifted", 0)
+    (groundings E.default_config db "forall x y. R(x) || S(x,y)")
+
 let suites =
   [
     ( "trace",
@@ -206,5 +241,7 @@ let suites =
           test_tracing_does_not_change_answers;
         Alcotest.test_case "pool tasks trace per-domain lanes" `Quick
           test_domain_lanes;
+        Alcotest.test_case "grounded tier grounds once" `Quick
+          test_grounded_tier_grounds_once;
       ] );
   ]
