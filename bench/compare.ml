@@ -413,7 +413,8 @@ let validate_storage path =
           (fun k -> ignore (num_field s k))
           [ "rows"; "file_bytes"; "csv_load_s"; "pack_s"; "open_s";
             "open_speedup"; "cold_csv_s"; "cold_packed_s"; "cold_speedup";
-            "bytes_mapped"; "mapped_fraction" ];
+            "bytes_mapped"; "mapped_fraction"; "index_build_s"; "index_bytes";
+            "point_indexed_s"; "point_gather_s"; "point_speedup" ];
         let v k = num_field s k in
         if v "open_s" <= 0.0 then fail "non-positive open_s";
         if v "csv_load_s" <= 0.0 then fail "non-positive csv_load_s";
@@ -437,6 +438,11 @@ let validate_storage path =
     | Json.Bool true -> ()
     | Json.Bool false -> fail "bit_identical is false: a packed answer differed"
     | _ -> fail "bit_identical is not a boolean");
+    (match get "point_bit_identical" with
+    | Json.Bool true -> ()
+    | Json.Bool false ->
+        fail "point_bit_identical is false: the indexed point query differed"
+    | _ -> fail "point_bit_identical is not a boolean");
     Printf.printf
       "OK %s: %d scale(s), %.0fx open speedup at the largest, lazy faults \
        only, zero drift\n"

@@ -18,7 +18,12 @@
       the cold query over the container size. U's columns never map, so
       the fraction stays well below 1 — the out-of-core contract.
 
-   Every scale also bit-compares the two answers. PROBDB_BENCH_SMOKE=1
+   4. Selective point query `exists y. S(7,y) && R(y)`: the safe plan's
+      scan of S(7,y) probing S's row index against the full filtered
+      gather over every row of S, plus the one-time index build.
+
+   Every scale also bit-compares the two answers (and, for the point
+   query, indexed against gathered and packed against CSV). PROBDB_BENCH_SMOKE=1
    shrinks the scales so the run doubles as the schema check behind
    `compare --validate-storage` (wired into `make bench-smoke`). *)
 
@@ -28,11 +33,13 @@ module Storage = Probdb_storage.Storage
 module E = Probdb_engine.Engine
 module Answer = Probdb_engine.Answer
 module L = Probdb_logic
+module Exec = Probdb_exec.Exec
 
 let smoke = Sys.getenv_opt "PROBDB_BENCH_SMOKE" <> None
 let scales = if smoke then [ 2_000; 20_000 ] else [ 100_000; 1_000_000; 10_000_000 ]
 
 let query = L.Parser.parse_sentence "exists x y. R(x) && S(x,y)"
+let point_query = L.Parser.parse_sentence "exists y. S(7,y) && R(y)"
 let config = { E.default_config with E.strategies = [ E.Safe_plan ] }
 
 (* Deterministic marginals: dense in (0,1), never 0 or 1, cheap. *)
@@ -70,7 +77,7 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-let eval_value db =
+let eval_value ?(query = query) db =
   match E.eval ~config db query with
   | Ok a -> a.Answer.value
   | Error e -> failwith (Core.Probdb_error.render e)
@@ -88,7 +95,28 @@ type row = {
   bytes_mapped : int;
   mapped_fraction : float;
   identical : bool;
+  index_build_s : float;
+  index_bytes : int;
+  point_indexed_s : float;
+  point_gather_s : float;
+  point_identical : bool;
 }
+
+(* The point query's safe plan, Project([], Join(S(7,y), R(y))), run
+   straight on the executor so the scan of S can go with or without the
+   row index. *)
+let point_value ?index t =
+  let lookup = Core.Dict.find_opt (Storage.dict t) in
+  let scan ?index name args =
+    let v = Option.get (Storage.view t name) in
+    Exec.scan_cols ?index ~lookup ~cols:v.Storage.vcols ~probs:v.Storage.vprobs
+      (L.Cq.atom name args)
+  in
+  let s = scan ?index "S" [ L.Fo.Const (Core.Value.int 7); L.Fo.Var "y" ] in
+  Exec.boolean_prob (Exec.project [] (Exec.join s (scan "R" [ L.Fo.Var "y" ])))
+
+let bits = Int64.bits_of_float
+let point_speedup r = r.point_gather_s /. Float.max 1e-9 r.point_indexed_s
 
 let measure n =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "probdb_e20_csv" in
@@ -99,6 +127,7 @@ let measure n =
   let db, csv_load_s = Common.time (fun () -> Core.Csv_io.load_dir dir) in
   let csv_value, csv_eval_s = Common.time (fun () -> eval_value db) in
   let cold_csv_s = csv_load_s +. csv_eval_s in
+  let csv_point = eval_value ~query:point_query db in
   let _, pack_s = Common.time (fun () -> Storage.pack db path) in
   (* open is O(header): cheap enough to take a median of several runs *)
   let open_s =
@@ -114,6 +143,25 @@ let measure n =
   let file_bytes = Storage.file_size t in
   let bytes_mapped = Storage.bytes_mapped t in
   Storage.close t;
+  (* the selective point query on a fresh handle: build S's index once,
+     then time the probe against the full gather *)
+  let t = Storage.open_file path in
+  let index, index_build_s = Common.time (fun () -> Storage.index t "S" 0) in
+  let index_bytes =
+    match index with
+    | Some { Storage.starts; rows } ->
+        4 * (Bigarray.Array1.dim starts + Bigarray.Array1.dim rows)
+    | None -> 0
+  in
+  let probe () = point_value ~index:(Storage.index t "S") t in
+  let gather () = point_value t in
+  let point_indexed_s = Common.timed ~repeat:21 probe in
+  let point_gather_s = Common.timed ~repeat:5 gather in
+  let point_identical =
+    bits (probe ()) = bits (gather ())
+    && bits (eval_value ~query:point_query (Storage.tid t)) = bits csv_point
+  in
+  Storage.close t;
   rm_rf dir;
   Sys.remove path;
   {
@@ -128,7 +176,12 @@ let measure n =
     cold_speedup = cold_csv_s /. Float.max 1e-9 cold_packed_s;
     bytes_mapped;
     mapped_fraction = float_of_int bytes_mapped /. float_of_int file_bytes;
-    identical = Int64.bits_of_float csv_value = Int64.bits_of_float packed_value;
+    identical = bits csv_value = bits packed_value;
+    index_build_s;
+    index_bytes;
+    point_indexed_s;
+    point_gather_s;
+    point_identical;
   }
 
 let run () =
@@ -150,11 +203,25 @@ let run () =
              Common.pretty_time r.cold_packed_s;
              Printf.sprintf "%.0f%%" (100.0 *. r.mapped_fraction) ])
          results);
+  Common.section "selective point query, row index vs full gather";
+  Common.table
+    ([ "tuples"; "index build"; "index"; "probe"; "gather"; "speedup" ]
+    :: List.map
+         (fun r ->
+           [ string_of_int r.rows;
+             Common.pretty_time r.index_build_s;
+             Printf.sprintf "%.1fMB" (float_of_int r.index_bytes /. 1e6);
+             Common.pretty_time r.point_indexed_s;
+             Common.pretty_time r.point_gather_s;
+             Printf.sprintf "%.0fx" (point_speedup r) ])
+         results);
   let last = List.nth results (List.length results - 1) in
   let identical = List.for_all (fun r -> r.identical) results in
+  let point_identical = List.for_all (fun r -> r.point_identical) results in
   Printf.printf
-    "\nopen speedup at %d tuples: %.0fx; answers bit-identical: %b\n" last.rows
-    last.open_speedup identical;
+    "\nopen speedup at %d tuples: %.0fx; answers bit-identical: %b; point \
+     query bit-identical: %b\n"
+    last.rows last.open_speedup identical point_identical;
   Common.bench_json "storage"
     [
       ("smoke", Json.Bool smoke);
@@ -175,10 +242,16 @@ let run () =
                    ("cold_speedup", Json.Float r.cold_speedup);
                    ("bytes_mapped", Json.Int r.bytes_mapped);
                    ("mapped_fraction", Json.Float r.mapped_fraction);
+                   ("index_build_s", Json.Float r.index_build_s);
+                   ("index_bytes", Json.Int r.index_bytes);
+                   ("point_indexed_s", Json.Float r.point_indexed_s);
+                   ("point_gather_s", Json.Float r.point_gather_s);
+                   ("point_speedup", Json.Float (point_speedup r));
                  ])
              results) );
       ("max_open_speedup", Json.Float last.open_speedup);
       ("bit_identical", Json.Bool identical);
+      ("point_bit_identical", Json.Bool point_identical);
     ]
 
 let bechamel_tests =

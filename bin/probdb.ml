@@ -839,16 +839,8 @@ let serve_run db_dir host port workers queue degrade_above deadline_ms
   (match Serve.openmetrics_port server with
   | Some p -> Printf.printf "probdb serve: openmetrics on http://%s:%d/\n%!" host p
   | None -> ());
-  (* SIGINT/SIGTERM drain: stop accepting, finish in-flight work, exit 0.
-     The handler must not block (it runs on the main thread), so the stop
-     itself goes to a fresh thread and [wait] below observes it. *)
-  let graceful _ =
-    ignore (Thread.create (fun () -> Serve.stop ~mode:`Drain server) ())
-  in
-  (try Sys.set_signal Sys.sigint (Sys.Signal_handle graceful)
-   with Invalid_argument _ | Sys_error _ -> ());
-  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle graceful)
-   with Invalid_argument _ | Sys_error _ -> ());
+  (* SIGINT/SIGTERM drain: stop accepting, finish in-flight work, exit 0 *)
+  Serve.drain_on_signals server;
   Serve.wait server;
   `Ok ()
 

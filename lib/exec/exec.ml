@@ -4,6 +4,7 @@ module Cq = Probdb_logic.Cq
 module Fo = Probdb_logic.Fo
 module Guard = Probdb_guard.Guard
 module Trace = Probdb_obs.Trace
+module Storage = Probdb_storage.Storage
 
 (* Columns come from two providers: ordinary heap arrays (the CSV path,
    and every operator output) and mmapped [Bigarray] segments of a packed
@@ -217,11 +218,7 @@ let empty_scan ?counters atom =
   note "scan" counters ~inputs:0 ~output:0;
   rel
 
-(* Resolved admission test for the mapped provider: constants become
-   interned ids up front (an unknown constant matches no row at all). *)
-type rcheck = Rbind | Rconst of int | Rpos of int | Rnever
-
-let scan_cols ?(guard = Guard.unlimited) ?counters ~lookup
+let scan_cols ?(guard = Guard.unlimited) ?counters ?index ~lookup
     ~(cols : int_column array) ~(probs : float_column) (atom : Cq.atom) =
   traced "scan" @@ fun () ->
   let vars, first_pos, checks = analyze_atom atom in
@@ -243,39 +240,67 @@ let scan_cols ?(guard = Guard.unlimited) ?counters ~lookup
     rel
   end
   else begin
-    let rchecks =
-      Array.map
-        (function
-          | Bind -> Rbind
-          | Check_pos p -> Rpos p
-          | Check_const c -> (
-              match lookup c with Some id -> Rconst id | None -> Rnever))
-        checks
+    (* Resolve the admission tests into int arrays once: constants become
+       interned ids up front, and a constant the dictionary never saw
+       matches no row at all. Row [i] is admitted when
+       [cols.(cpos.(c)).{i} = cid.(c)] for every constant [c] and
+       [cols.(rpos.(r)).{i} = cols.(rsrc.(r)).{i}] for every repeat [r]. *)
+    let positions f =
+      Array.to_list (Array.mapi f checks) |> List.filter_map Fun.id |> Array.of_list
     in
-    let impossible = Array.exists (function Rnever -> true | _ -> false) rchecks in
+    let consts =
+      positions (fun j -> function Check_const c -> Some (j, lookup c) | _ -> None)
+    in
+    let impossible = Array.exists (fun (_, id) -> id = None) consts in
+    let cpos = Array.map fst consts in
+    let cid = Array.map (fun (_, id) -> Option.value id ~default:(-1)) consts in
+    let repeats =
+      positions (fun j -> function Check_pos p -> Some (j, p) | _ -> None)
+    in
+    let rpos = Array.map fst repeats and rsrc = Array.map snd repeats in
+    let nc = Array.length cpos and nr = Array.length rpos in
+    let rec consts_ok i c =
+      c = nc || (cols.(cpos.(c)).{i} = cid.(c) && consts_ok i (c + 1))
+    in
+    let rec repeats_ok i r =
+      r = nr || (cols.(rpos.(r)).{i} = cols.(rsrc.(r)).{i} && repeats_ok i (r + 1))
+    in
     let col_bufs = Array.init k (fun _ -> Ibuf.create ()) in
     let prob_buf = Fbuf.create () in
     let ticks = ref 0 in
-    if not impossible then
-      for i = 0 to n - 1 do
-        Guard.tick guard ~site:"exec.scan" ticks;
-        let admit = ref true in
-        Array.iteri
-          (fun j check ->
-            if !admit then
-              match check with
-              | Rbind -> ()
-              | Rconst id -> if cols.(j).{i} <> id then admit := false
-              | Rpos p -> if cols.(p).{i} <> cols.(j).{i} then admit := false
-              | Rnever -> admit := false)
-          rchecks;
-        if !admit then begin
-          for j = 0 to k - 1 do
-            Ibuf.push col_bufs.(j) cols.(first_pos.(j)).{i}
+    let visit i =
+      Guard.tick guard ~site:"exec.scan" ticks;
+      if consts_ok i 0 && repeats_ok i 0 then begin
+        for j = 0 to k - 1 do
+          Ibuf.push col_bufs.(j) cols.(first_pos.(j)).{i}
+        done;
+        Fbuf.push prob_buf probs.{i}
+      end
+    in
+    (* The first constant's row index, when the caller has one, narrows
+       the scan to that id's bucket; its rows come in ascending order, so
+       the output is exactly the full scan's. *)
+    let probe =
+      match index with
+      | Some index when nc > 0 && not impossible -> index cpos.(0)
+      | _ -> None
+    in
+    let inputs =
+      match probe with
+      | _ when impossible -> 0
+      | Some { Storage.starts; rows } ->
+          let lo = Int32.to_int starts.{cid.(0)} in
+          let hi = Int32.to_int starts.{cid.(0) + 1} in
+          for t = lo to hi - 1 do
+            visit (Int32.to_int rows.{t})
           done;
-          Fbuf.push prob_buf probs.{i}
-        end
-      done;
+          hi - lo
+      | None ->
+          for i = 0 to n - 1 do
+            visit i
+          done;
+          n
+    in
     let out_probs = Fbuf.to_array prob_buf in
     let m = Array.length out_probs in
     let rel =
@@ -283,32 +308,9 @@ let scan_cols ?(guard = Guard.unlimited) ?counters ~lookup
         cols = Array.map (fun b -> Ints (Array.sub b.Ibuf.a 0 m)) col_bufs;
         probs = Floats out_probs }
     in
-    note "scan" counters ~inputs:(if impossible then 0 else n) ~output:m;
+    note "scan" counters ~inputs ~output:m;
     rel
   end
-
-(* ---------- select ---------- *)
-
-let select ?(guard = Guard.unlimited) ?counters r x id =
-  traced "select" @@ fun () ->
-  let j = index_of r x in
-  let col = r.cols.(j) in
-  let keep = Ibuf.create () in
-  let ticks = ref 0 in
-  let n = nrows r in
-  for i = 0 to n - 1 do
-    Guard.tick guard ~site:"exec.select" ticks;
-    if iget col i = id then Ibuf.push keep i
-  done;
-  let m = keep.Ibuf.n in
-  let gather col = Ints (Array.init m (fun t -> iget col (Ibuf.get keep t))) in
-  let rel =
-    { vars = r.vars;
-      cols = Array.map gather r.cols;
-      probs = Floats (Array.init m (fun t -> fget r.probs (Ibuf.get keep t))) }
-  in
-  note "select" counters ~inputs:n ~output:m;
-  rel
 
 (* ---------- join ---------- *)
 

@@ -74,6 +74,7 @@ val scan :
 val scan_cols :
   ?guard:Probdb_guard.Guard.t ->
   ?counters:counters ->
+  ?index:(int -> Probdb_storage.Storage.index option) ->
   lookup:(Probdb_core.Value.t -> int option) ->
   cols:int_column array ->
   probs:float_column ->
@@ -86,18 +87,17 @@ val scan_cols :
     Constants and repeated variables fall back to a filtered gather whose
     admission ids come from [lookup] (the container's read-only dictionary
     via [Dict.find_opt] — a constant the container never saw matches no
-    row, and nothing is ever interned during evaluation). Raises
-    [Invalid_argument] on complemented atoms or an arity mismatch with the
-    columns. *)
+    row, and nothing is ever interned during evaluation). With [index]
+    (column position to that column's {!Probdb_storage.Storage.index}),
+    the gather visits only the bucket of the atom's first constant instead
+    of every row; buckets keep ascending row order, so the output rows and
+    their order are those of the full scan. The gather allocates nothing
+    per input row. Raises [Invalid_argument] on complemented atoms or an
+    arity mismatch with the columns. *)
 
 val empty_scan : ?counters:counters -> Probdb_logic.Cq.atom -> rel
 (** The empty result of scanning the atom against a missing relation:
     same columns, zero rows. *)
-
-val select : ?guard:Probdb_guard.Guard.t -> ?counters:counters -> rel -> string -> int -> rel
-(** [select r x id] keeps the rows whose column [x] carries interned value
-    [id]. (Scans already push atom constants down; this exists for
-    selections decided after a scan.) *)
 
 val join : ?guard:Probdb_guard.Guard.t -> ?counters:counters -> rel -> rel -> rel
 (** Natural hash join on the shared columns, probabilities multiplied.

@@ -47,7 +47,8 @@ let eval_exec ?(guard = Guard.unlimited) ?counters db plan =
          id, so it is shared read-only across evaluations (and serving
          workers) — query constants resolve through [find_opt], nothing
          interns. Ids coincide with what loading the CSV would intern, so
-         answers are bit-identical to the heap path. *)
+         answers are bit-identical to the heap path. A constant selection
+         probes the relation's shared row index instead of scanning. *)
       let dict = Storage.dict st in
       let lookup v = Core.Dict.find_opt dict v in
       let rec go = function
@@ -55,8 +56,9 @@ let eval_exec ?(guard = Guard.unlimited) ?counters db plan =
             observe
               (match Storage.view st a.Cq.rel with
               | Some v ->
-                  Exec.scan_cols ~guard ?counters ~lookup ~cols:v.Storage.vcols
-                    ~probs:v.Storage.vprobs a
+                  Exec.scan_cols ~guard ?counters
+                    ~index:(Storage.index st a.Cq.rel) ~lookup
+                    ~cols:v.Storage.vcols ~probs:v.Storage.vprobs a
               | None -> Exec.empty_scan ?counters a)
         | Join (p1, p2) -> observe (Exec.join ~guard ?counters (go p1) (go p2))
         | Project (keep, p) -> observe (Exec.project ~guard ?counters keep (go p))

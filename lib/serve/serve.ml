@@ -178,6 +178,8 @@ type t = {
   mutable accept_thread : Thread.t option;
   stop_lock : Mutex.t;
   mutable stopped : bool;
+  signalled : bool Atomic.t;  (* set by the {!drain_on_signals} handler *)
+  mutable saved_handlers : (int * Sys.signal_behavior) list;
   trace_lock : Mutex.t;  (* tracing is process-global: one capture at a time *)
   next_cid : int Atomic.t;
   c_accepted : int Atomic.t;
@@ -1066,15 +1068,34 @@ and stop_ ~mode t =
 
 let stop ?(mode = `Drain) t = stop_ ~mode t
 
+(* A signal handler runs at an arbitrary poll point of an arbitrary
+   thread, possibly one holding a lock the stop needs. So the handler only
+   records the signal; the thread blocked in [wait] runs the drain. *)
+let drain_on_signals t =
+  match t.saved_handlers with
+  | _ :: _ -> ()  (* already installed *)
+  | [] ->
+      let handler = Sys.Signal_handle (fun _ -> Atomic.set t.signalled true) in
+      let install signal =
+        match Sys.signal signal handler with
+        | previous -> Some (signal, previous)
+        | exception (Invalid_argument _ | Sys_error _) -> None
+      in
+      t.saved_handlers <- List.filter_map install [ Sys.sigint; Sys.sigterm ]
+
 let wait t =
   let rec loop () =
+    if Atomic.get t.signalled then stop_ ~mode:`Drain t;
     let stopped = with_lock t.stop_lock (fun () -> t.stopped) in
     if not stopped then begin
       Thread.delay 0.05;
       loop ()
     end
   in
-  loop ()
+  loop ();
+  List.iter (fun (signal, previous) -> Sys.set_signal signal previous)
+    t.saved_handlers;
+  t.saved_handlers <- []
 
 let start ?(config = default_config) db =
   (* never die on a client that went away mid-write *)
@@ -1186,6 +1207,8 @@ let start ?(config = default_config) db =
       accept_thread = None;
       stop_lock = Mutex.create ();
       stopped = false;
+      signalled = Atomic.make false;
+      saved_handlers = [];
       trace_lock = Mutex.create ();
       next_cid = Atomic.make 0;
       c_accepted = Atomic.make 0;

@@ -121,9 +121,17 @@ val stop : ?mode:[ `Drain | `Now ] -> t -> unit
     the server guard, interrupting in-flight evaluations at their next
     poll. Idempotent; concurrent callers block until the stop completes. *)
 
+val drain_on_signals : t -> unit
+(** Make SIGINT and SIGTERM request a [`Drain] stop. The handlers only
+    record the signal: the thread blocked in {!wait} runs the stop, and
+    {!wait} restores the previous handlers before it returns. Without a
+    thread in {!wait}, a signal is recorded and nothing else happens. *)
+
 val wait : t -> unit
 (** Block until the server has stopped (its accept thread has exited and
-    the workers are joined) — the foreground of [probdb serve]. *)
+    the workers are joined) — the foreground of [probdb serve]. Runs the
+    drain a {!drain_on_signals} handler asked for, then restores the
+    handlers that were in place before {!drain_on_signals}. *)
 
 val stats_json : t -> Probdb_obs.Json.t
 (** The live server snapshot behind the [stats] protocol op (schema:

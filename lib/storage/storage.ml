@@ -25,6 +25,8 @@ let m_pack_s = Metrics.histogram "storage.pack_s"
 let m_bytes_mapped = Metrics.counter "storage.bytes_mapped"
 let m_cols_mapped = Metrics.counter "storage.cols_mapped"
 let m_rels_mat = Metrics.counter "storage.relations_materialized"
+let m_index_builds = Metrics.counter "storage.index_builds"
+let m_index_bytes = Metrics.counter "storage.index_bytes"
 
 let io_error path fmt =
   Printf.ksprintf (fun message -> Err.raise_ (Err.Io { path; message })) fmt
@@ -82,6 +84,11 @@ type int_column = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type float_column =
   (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+type int32_column =
+  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type index = { starts : int32_column; rows : int32_column }
+
 type rel_meta = {
   rname : string;
   arity : int;
@@ -90,6 +97,9 @@ type rel_meta = {
   prob_seg : seg;
   mutable mcols : int_column option array;  (* mapped lazily, cached *)
   mutable mprobs : float_column option;
+  midx : index option Atomic.t array;
+      (* built lazily, cached; atomic so a reader outside the lock sees
+         the arrays' contents once it sees the index *)
 }
 
 type t = {
@@ -369,6 +379,7 @@ let parse_toc ~path ~size bytes =
             prob_seg = { soff = prob_off; scrc = prob_crc };
             mcols = Array.make arity None;
             mprobs = None;
+            midx = Array.init arity (fun _ -> Atomic.make None);
           })
     in
     ( rels,
@@ -512,19 +523,21 @@ let find_rel t name =
   in
   go 0
 
-let col t m j =
+(* The caller holds [t.lock]. *)
+let col_locked t m j =
   match m.mcols.(j) with
   | Some c -> c
   | None ->
-      Mutex.protect t.lock (fun () ->
-          match m.mcols.(j) with
-          | Some c -> c
-          | None ->
-              fail_closed t;
-              let c = map_ints t m.col_segs.(j).soff m.nrows in
-              m.mcols.(j) <- Some c;
-              note_mapped t (m.nrows * word);
-              c)
+      fail_closed t;
+      let c = map_ints t m.col_segs.(j).soff m.nrows in
+      m.mcols.(j) <- Some c;
+      note_mapped t (m.nrows * word);
+      c
+
+let col t m j =
+  match m.mcols.(j) with
+  | Some c -> c
+  | None -> Mutex.protect t.lock (fun () -> col_locked t m j)
 
 let probs_col t m =
   match m.mprobs with
@@ -539,6 +552,63 @@ let probs_col t m =
               m.mprobs <- Some c;
               note_mapped t (m.nrows * word);
               c)
+
+(* Counting sort of one id column over the dense dictionary ids. Bucket
+   [id] is [rows.{starts.{id}} .. rows.{starts.{id+1} - 1}]: filling from
+   the last row backwards leaves each bucket in ascending row order. An id
+   outside [0, ids) can never equal a dictionary id, so it joins no
+   bucket. Both arrays live off the OCaml heap. *)
+let build_index ~ids (c : int_column) =
+  let n = Bigarray.Array1.dim c in
+  let in_range id = id >= 0 && id < ids in
+  let starts : int32_column =
+    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (ids + 1)
+  in
+  Bigarray.Array1.fill starts 0l;
+  for i = 0 to n - 1 do
+    let id = c.{i} in
+    if in_range id then starts.{id} <- Int32.succ starts.{id}
+  done;
+  (* inclusive prefix sums: [starts.{id}] is the end of bucket [id] *)
+  for id = 1 to ids - 1 do
+    starts.{id} <- Int32.add starts.{id} starts.{id - 1}
+  done;
+  let total = if ids = 0 then 0 else Int32.to_int starts.{ids - 1} in
+  starts.{ids} <- Int32.of_int total;
+  let rows : int32_column =
+    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout total
+  in
+  for i = n - 1 downto 0 do
+    let id = c.{i} in
+    if in_range id then begin
+      let pos = Int32.pred starts.{id} in
+      starts.{id} <- pos;
+      rows.{Int32.to_int pos} <- Int32.of_int i
+    end
+  done;
+  { starts; rows }
+
+(* row ids and bucket offsets are Int32 *)
+let index_limit = 1 lsl 31
+
+let index t name j =
+  match find_rel t name with
+  | None -> None
+  | Some m when m.nrows >= index_limit -> None
+  | Some m -> (
+      match Atomic.get m.midx.(j) with
+      | Some _ as ix -> ix
+      | None ->
+          Mutex.protect t.lock (fun () ->
+              match Atomic.get m.midx.(j) with
+              | Some _ as ix -> ix
+              | None ->
+                  let ix = build_index ~ids:t.dict_count (col_locked t m j) in
+                  Atomic.set m.midx.(j) (Some ix);
+                  Metrics.incr m_index_builds;
+                  Metrics.add m_index_bytes
+                    (4 * (Bigarray.Array1.dim ix.starts + Bigarray.Array1.dim ix.rows));
+                  Some ix))
 
 let view t name =
   Option.map

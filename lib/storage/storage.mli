@@ -104,6 +104,31 @@ val view : t -> string -> view option
     mapped on first request and cached; each first map counts into the
     [storage.cols_mapped] / [storage.bytes_mapped] metrics. *)
 
+type int32_column =
+  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type index = {
+  starts : int32_column;
+      (** [dict ids + 1] bucket offsets into [rows] *)
+  rows : int32_column;
+      (** row ids grouped by dict id, ascending within each group *)
+}
+(** A row index over one column: the rows whose column value is dict id
+    [id] are [rows.{starts.{id}} .. rows.{starts.{id + 1} - 1}], in
+    ascending row order. Both arrays live off the OCaml heap. *)
+
+val index : t -> string -> int -> index option
+(** [index t rel j] is the row index of column [j] of [rel] ([0 <= j <]
+    its arity), built by a counting sort on first request and cached for
+    the handle's lifetime, so all workers share one copy. Each build
+    counts into the [storage.index_builds] / [storage.index_bytes]
+    metrics. [None] when the relation does not exist or has [2^31] rows
+    or more (row ids are 32-bit).
+
+    @raise Probdb_error.Error [Io] when the handle is closed and the
+    index would need a column that is not mapped yet — the same error
+    {!view} raises. *)
+
 val tid : t -> Core.Tid.t
 (** The container as a lazy TID tagged [Packed t]: cardinalities and the
     domain come from the TOC; a relation is decoded to the heap only when

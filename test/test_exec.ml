@@ -159,6 +159,30 @@ let test_counters () =
   Alcotest.(check bool) "rows processed" true (counters.Exec.rows_processed > 0);
   Alcotest.(check bool) "peak rows" true (counters.Exec.peak_rows >= 4)
 
+(* The filtered gather over mapped columns allocates per output row at
+   most, never per input row: a 100k-row diagonal scan S(x,x) keeps ~100
+   rows and must stay under one minor word per input row. *)
+let test_gather_allocation () =
+  let n = 100_000 in
+  let rng = Random.State.make [| 5 |] in
+  let col () =
+    let c = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+    for i = 0 to n - 1 do c.{i} <- Random.State.int rng 1000 done;
+    c
+  in
+  let cols = [| col (); col () |] in
+  let probs = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+  Bigarray.Array1.fill probs 0.5;
+  let atom = L.Cq.of_vars "S" [ "x"; "x" ] in
+  let scan () = Exec.scan_cols ~lookup:(fun _ -> None) ~cols ~probs atom in
+  ignore (scan ());
+  let before = Gc.minor_words () in
+  let r = scan () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "some diagonal rows kept" true (Exec.nrows r > 0);
+  if words >= float_of_int n then
+    Alcotest.failf "gather allocated %.0f minor words over %d input rows" words n
+
 let suites =
   [
     ( "exec",
@@ -167,6 +191,8 @@ let suites =
         Alcotest.test_case "disjoint union" `Quick test_disjoint_union;
         Alcotest.test_case "open plans agree with reference" `Quick test_open_plans;
         Alcotest.test_case "plan counters" `Quick test_counters;
+        Alcotest.test_case "gather allocates per output row only" `Quick
+          test_gather_allocation;
         prop_exec_agrees_h0;
         prop_exec_agrees_hier;
       ] );

@@ -468,6 +468,88 @@ let test_shutdown_drains_in_flight () =
       Client.close c2
   | exception Unix.Unix_error _ -> ()
 
+(* SIGTERM under pipelined load: the process signals itself while one
+   connection keeps 16 requests in flight. The handler only records the
+   signal and the thread in [Serve.wait] runs the drain, which must finish
+   within 5 s every time; [wait] then puts the default handlers back.
+   (Running the stop on a thread created inside the handler could hang the
+   drain forever, a few percent of the time.) *)
+let test_sigterm_drains_under_load () =
+  let soak = Sys.getenv_opt "PROBDB_SOAK" = Some "1" in
+  let trials = if soak then 100 else 10 in
+  let is_default signal =
+    match Sys.signal signal Sys.Signal_default with
+    | Sys.Signal_default -> true
+    | _ -> false
+  in
+  List.iter (fun signal -> Sys.set_signal signal Sys.Signal_default)
+    [ Sys.sigint; Sys.sigterm ];
+  let db = small_db () in
+  for trial = 1 to trials do
+    let rng = Random.State.make [| trial |] in
+    let config =
+      { Serve.default_config with Serve.port = 0; Serve.workers = 1 }
+    in
+    let server = Serve.start ~config db in
+    Serve.drain_on_signals server;
+    let c = Client.connect (Serve.port server) in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    let total = 3000 and depth = 16 in
+    let answered = Atomic.make 0 in
+    let send i =
+      Client.send_line c
+        (Json.to_string
+           (Json.Obj
+              [ ("id", Json.Int i); ("op", Json.Str "eval");
+                ("query", Json.Str (List.nth queries (i mod 2))) ]))
+    in
+    let load () =
+      try
+        for i = 0 to depth - 1 do send i done;
+        for i = depth to total + depth - 1 do
+          ignore (Client.recv_line c);
+          Atomic.incr answered;
+          if i < total then send i
+        done
+      with Client.Connection_closed | Failure _ | Sys_error _ | Unix.Unix_error _ -> ()
+    in
+    let loader = Thread.create load () in
+    let kill_after = 20 + Random.State.int rng 400 in
+    let signalled_at = Atomic.make 0.0 in
+    let killer =
+      Thread.create
+        (fun () ->
+          let give_up = Unix.gettimeofday () +. 2.0 in
+          while Atomic.get answered < kill_after && Unix.gettimeofday () < give_up do
+            Thread.delay 0.001
+          done;
+          Atomic.set signalled_at (Unix.gettimeofday ());
+          Unix.kill (Unix.getpid ()) Sys.sigterm)
+        ()
+    in
+    let finished = Atomic.make false in
+    let waiter =
+      Thread.create (fun () -> Serve.wait server; Atomic.set finished true) ()
+    in
+    Thread.join killer;
+    let deadline = Atomic.get signalled_at +. 5.0 in
+    while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done;
+    (* a hung drain holds the stop lock, so a failing trial leaves the
+       server as it is rather than block on stopping it *)
+    if not (Atomic.get finished) then
+      Alcotest.failf "trial %d: SIGTERM drain did not finish within 5 s" trial;
+    Thread.join waiter;
+    Thread.join loader;
+    Alcotest.(check bool)
+      (Printf.sprintf "trial %d: default SIGTERM handler restored" trial)
+      true (is_default Sys.sigterm);
+    Alcotest.(check bool)
+      (Printf.sprintf "trial %d: default SIGINT handler restored" trial)
+      true (is_default Sys.sigint)
+  done
+
 let test_stop_now_cancels () =
   (* stop `Now while slow exact work is in flight: the server guard's
      cancellation reaches the evaluation, which answers typed (cancelled
@@ -792,6 +874,8 @@ let suites =
           test_no_degrade_exempt_under_load;
         Alcotest.test_case "shutdown drains in-flight work" `Slow
           test_shutdown_drains_in_flight;
+        Alcotest.test_case "SIGTERM drains under pipelined load" `Quick
+          test_sigterm_drains_under_load;
         Alcotest.test_case "stop now cancels in-flight work" `Slow
           test_stop_now_cancels;
         Alcotest.test_case "stop now fails queued typed" `Slow

@@ -16,6 +16,8 @@ module Err = Core.Probdb_error
 module Serve = Probdb_serve.Serve
 module Client = Probdb_serve.Client
 module Json = Probdb_obs.Json
+module Exec = Probdb_exec.Exec
+module Metrics = Probdb_obs.Metrics
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
 
@@ -105,6 +107,13 @@ let test_engine_bit_identity () =
       (E.Obdd, "exists x y. R(x) && S(x,y) && T(y)");
       (E.Wmc, "exists x y. R(x) && S(x,y) && T(y)");
       (E.Karp_luby, "exists x y. R(x) && S(x,y) && T(y)") ]
+    (* selective shapes that probe the row index, for every domain
+       constant and one the database never saw *)
+    @ List.concat_map
+        (fun c ->
+          [ (E.Safe_plan, Printf.sprintf "exists y. S(%s,y) && T(y)" c);
+            (E.Safe_plan, Printf.sprintf "R(%s) && T(%s)" c c) ])
+        (List.map Core.Value.to_string (Core.Tid.domain csv_db) @ [ "12345" ])
   in
   List.iter
     (fun (s, q) ->
@@ -259,6 +268,113 @@ let test_lazy_tid () =
   Alcotest.(check bool) "derived TID drops backing" true
     (Storage.backing derived = None)
 
+(* ---------- row indexes: constant selections probe a bucket ---------- *)
+
+(* bit-level equality of two executor relations: same columns, same rows
+   in the same order, probabilities equal bit for bit *)
+let same_rel (a : Exec.rel) (b : Exec.rel) =
+  let rows r =
+    List.init (Exec.nrows r) (fun i ->
+        ( Array.map (fun c -> Exec.iget c i) r.Exec.cols,
+          Int64.bits_of_float (Exec.fget r.Exec.probs i) ))
+  in
+  a.Exec.vars = b.Exec.vars && rows a = rows b
+
+let prop_indexed_scan =
+  Test_util.qcheck ~count:60 "indexed scan_cols = full scan (random columns)"
+    QCheck2.Gen.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let int = Random.State.int rng in
+      let v k = Core.Value.int (int k) in
+      (* S(a,b,c) over few values, so ids repeat down every column; Z
+         holds values S never uses, and an extra domain value takes the
+         largest dictionary id when present *)
+      let vals = 1 + int 6 in
+      let tuples n arity =
+        List.init n (fun _ -> List.init arity (fun _ -> v vals))
+        |> List.sort_uniq Core.Tuple.compare
+        |> List.map (fun t -> (t, Random.State.float rng 1.0))
+      in
+      let s = Core.Relation.make (Core.Schema.make "S" [ "a"; "b"; "c" ]) (tuples (int 60) 3) in
+      let z =
+        Core.Relation.make (Core.Schema.make "Z" [ "a" ])
+          (List.init (int 3) (fun i -> ([ Core.Value.int (100 + i) ], 0.5)))
+      in
+      let domain = if int 2 = 0 then [ Core.Value.int 200 ] else [] in
+      let path = tmp (Printf.sprintf "storage_index_%d.pdb" seed) in
+      Storage.pack (Core.Tid.make ~domain [ s; z ]) path;
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      with_handle path @@ fun t ->
+      let dict = Storage.dict t in
+      let lookup = Core.Dict.find_opt dict in
+      let view = Option.get (Storage.view t "S") in
+      let scan ?index atom =
+        Exec.scan_cols ?index ~lookup ~cols:view.Storage.vcols
+          ~probs:view.Storage.vprobs atom
+      in
+      let const () =
+        match int 4 with
+        | 0 -> v vals  (* usually present in the column *)
+        | 1 -> Core.Value.int (100 + int 3)  (* absent from S, maybe known *)
+        | 3 when Core.Dict.size dict > 0 ->
+            Core.Dict.value dict (Core.Dict.size dict - 1)  (* largest id *)
+        | _ -> Core.Value.Str "never-packed"  (* unknown to the dictionary *)
+      in
+      let arg () =
+        if int 2 = 0 then L.Fo.Const (const ())
+        else L.Fo.Var [| "x"; "y"; "z" |].(int 3)
+      in
+      List.for_all
+        (fun _ ->
+          let atom = { L.Cq.rel = "S"; comp = false; args = List.init 3 (fun _ -> arg ()) } in
+          same_rel (scan atom) (scan ~index:(Storage.index t "S") atom))
+        (List.init 20 Fun.id))
+
+(* four domains share one handle: every index is built once, and the
+   answers match a sequential run bit for bit *)
+let test_concurrent_index_builds () =
+  let db = small_db () in
+  let path = tmp "storage_index_domains.pdb" in
+  Storage.pack db path;
+  let queries =
+    List.concat_map
+      (fun c ->
+        [ Printf.sprintf "exists y. S(%d,y) && T(y)" c;
+          Printf.sprintf "R(%d) && T(%d)" c c ])
+      (List.init 6 Fun.id)
+  in
+  let config = { E.default_config with E.strategies = [ E.Safe_plan ] } in
+  let want = List.map (eval_value ~config db) queries in
+  let builds = Metrics.counter "storage.index_builds" in
+  let before = Metrics.counter_value builds in
+  with_handle path (fun t ->
+      let packed = Storage.tid t in
+      let run () = List.map (eval_value ~config packed) queries in
+      let answers = List.init 4 (fun _ -> Domain.spawn run) |> List.map Domain.join in
+      List.iteri
+        (fun d got ->
+          if List.map Int64.bits_of_float got <> List.map Int64.bits_of_float want then
+            Alcotest.failf "domain %d: answers differ from the sequential run" d)
+        answers;
+      (* S column 0, R column 0 and T column 0 *)
+      Alcotest.(check int) "one build per indexed column" 3
+        (Metrics.counter_value builds - before);
+      ignore (List.map (eval_value ~config packed) queries);
+      Alcotest.(check int) "no rebuild on reuse" 3
+        (Metrics.counter_value builds - before));
+  (* after close, an index not yet built fails like an unmapped column *)
+  let t = Storage.open_file path in
+  Storage.close t;
+  let error f =
+    match f () with
+    | _ -> Alcotest.fail "expected a typed Io error after close"
+    | exception Err.Error e -> Err.render e
+  in
+  Alcotest.(check string) "index after close = column after close"
+    (error (fun () -> ignore (Storage.view t "S")))
+    (error (fun () -> ignore (Storage.index t "S" 0)))
+
 (* ---------- concurrent serve soak over one shared mapped file ---------- *)
 
 let float_of name j =
@@ -326,6 +442,9 @@ let suites =
         Alcotest.test_case "corrupt files are typed Io" `Quick test_corrupt_files;
         Alcotest.test_case "load_any format sniffing" `Quick test_load_any_sniffing;
         Alcotest.test_case "packed TID is lazy" `Quick test_lazy_tid;
+        prop_indexed_scan;
+        Alcotest.test_case "index built once across domains" `Quick
+          test_concurrent_index_builds;
         Alcotest.test_case "concurrent serve over one mapped file" `Quick
           test_concurrent_serve_over_packed;
       ] );
