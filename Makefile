@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-smoke bench-compare docs check check-budget check-wmc check-trace check-serve check-chaos check-prepare check-storage check-obs perfbench
+.PHONY: all build test bench bench-smoke bench-compare docs check check-budget check-grounded check-wmc check-trace check-serve check-chaos check-prepare check-storage check-obs perfbench
 
 all: build
 
@@ -74,6 +74,27 @@ bench-smoke: build
 	dune exec --no-build bench/compare.exe -- --validate-storage BENCH_storage.json || \
 		{ echo "bench-smoke: BENCH_storage.json failed schema validation"; exit 1; }; \
 	echo "bench-smoke: BENCH_storage.json schema + open-speedup + lazy-fault invariants — OK"
+
+# The grounded tier: the boolean/lineage/kc suites and the golden file of
+# grounded answers and OBDD sizes, then two CLI runs on the domain-8
+# grounded-exact TID that used to overrun their deadlines — Karp–Luby on
+# q_w (absorbing an 18k-clause DNF) must answer under `timeout 5`, and
+# read-once on q_j must stop under `timeout 3` for a 500 ms deadline.
+check-grounded: build
+	@timeout 300 dune exec --no-build test/main.exe -- test 'kc|lineage|boolean|golden' -c || \
+		{ echo "check-grounded: suites failed (exit $$?)"; exit 1; }; \
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT; \
+	dune exec --no-build bin/probdb.exe -- gen --out "$$tmp/db" --domain 8 --seed 3 \
+		R:1:1.0 S:2:0.4 T:1:0.6 S1:2:0.3 S2:2:0.5 S3:2:0.5 >/dev/null; \
+	qw='((exists x y. R(x) && S1(x,y)) || (exists x y. S2(x,y) && S3(x,y))) && ((exists x y. S1(x,y) && S2(x,y)) || (exists x y. S3(x,y) && T(y))) && ((exists x y. S2(x,y) && S3(x,y)) || (exists x y. S3(x,y) && T(y)))'; \
+	timeout 5 dune exec --no-build bin/probdb.exe -- eval --db "$$tmp/db" \
+		--method karp-luby --deadline-ms 2000 "$$qw" >/dev/null || \
+		{ echo "check-grounded: karp-luby on q_w failed or overran (exit $$?)"; exit 1; }; \
+	timeout 3 dune exec --no-build bin/probdb.exe -- eval --db "$$tmp/db" \
+		--method read-once --deadline-ms 500 \
+		"exists x y u v. R(x) && S(x,y) && T(u) && S(u,v)" >/dev/null || \
+		{ echo "check-grounded: read-once on q_j failed or overran (exit $$?)"; exit 1; }; \
+	echo "check-grounded: suites + golden answers + q_w/q_j within their deadlines — OK"
 
 # The grounded-WMC equivalence suite on its own: the clause-database
 # counter against brute force and the tree DPLL reference across the
@@ -242,11 +263,11 @@ perfbench:
 	done
 
 # What CI runs: build, test suite, the budget and benchmark smoke tests,
-# the WMC equivalence suite, the observability suite, the serving soak,
-# the chaos-engineering suite, the prepared-queries suite, the
-# packed-storage suite, and — when odoc is installed — the
-# fatal-warnings documentation build.
-check: build test check-budget bench-smoke check-wmc check-trace check-serve check-chaos check-prepare check-storage check-obs
+# the grounded-tier suite, the WMC equivalence suite, the observability
+# suite, the serving soak, the chaos-engineering suite, the
+# prepared-queries suite, the packed-storage suite, and — when odoc is
+# installed — the fatal-warnings documentation build.
+check: build test check-budget check-grounded bench-smoke check-wmc check-trace check-serve check-chaos check-prepare check-storage check-obs
 	@if command -v odoc >/dev/null 2>&1; then \
 		dune build @check-docs; \
 	else \

@@ -162,19 +162,45 @@ let is_syntactically_read_once f =
   in
   go f
 
-(* DNF clauses are sorted int lists; [absorb] drops supersets of another
-   clause. *)
-let clause_subsumes small big = List.for_all (fun x -> List.mem x big) small
+(* DNF clauses are strictly increasing int lists. [absorb] deduplicates,
+   then visits clauses by length: a clause is kept unless a kept clause is a
+   subset of it. A subset's smallest variable occurs in the superset, so
+   kept clauses are indexed by their head and a candidate only tests those
+   headed by one of its own variables, by a sorted merge. *)
+let rec sorted_subset small big =
+  match small, big with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs, y :: ys ->
+      if x = y then sorted_subset xs ys
+      else if x > y then sorted_subset small ys
+      else false
 
 let absorb clauses =
-  let clauses = List.sort_uniq (List.compare Int.compare) clauses in
-  List.filter
-    (fun c ->
-      not
-        (List.exists
-           (fun c' -> c' != c && (not (List.equal Int.equal c c')) && clause_subsumes c' c)
-           clauses))
-    clauses
+  match List.sort_uniq (List.compare Int.compare) clauses with
+  | ([] | [ _ ]) as clauses -> clauses
+  | [] :: _ -> [ [] ] (* the empty clause sorts first and subsumes all *)
+  | clauses ->
+      let arr = Array.of_list clauses in
+      let by_length =
+        List.stable_sort
+          (fun (la, _) (lb, _) -> Int.compare la lb)
+          (List.mapi (fun i c -> (List.length c, i)) clauses)
+      in
+      let kept = Array.make (Array.length arr) false in
+      let by_head = Hashtbl.create 64 in
+      let heads v = Option.value ~default:[] (Hashtbl.find_opt by_head v) in
+      List.iter
+        (fun (_, i) ->
+          let c = arr.(i) in
+          if not (List.exists (fun v -> List.exists (fun k -> sorted_subset k c) (heads v)) c)
+          then begin
+            kept.(i) <- true;
+            let v = List.hd c in
+            Hashtbl.replace by_head v (c :: heads v)
+          end)
+        by_length;
+      List.filteri (fun i _ -> kept.(i)) clauses
 
 let to_dnf f =
   if not (is_positive f) then invalid_arg "Formula.to_dnf: formula is not positive";
@@ -231,37 +257,6 @@ let as_cnf = function
         (Some []) fs
       |> Option.map List.rev
   | f -> Option.map (fun c -> [ c ]) (as_clause f)
-
-let to_key f =
-  let buf = Buffer.create 64 in
-  let rec go = function
-    | True -> Buffer.add_char buf 'T'
-    | False -> Buffer.add_char buf 'F'
-    | Var x ->
-        Buffer.add_char buf 'v';
-        Buffer.add_string buf (string_of_int x)
-    | Not f ->
-        Buffer.add_char buf '!';
-        go f
-    | And fs ->
-        Buffer.add_char buf '(';
-        List.iter
-          (fun f ->
-            go f;
-            Buffer.add_char buf '&')
-          fs;
-        Buffer.add_char buf ')'
-    | Or fs ->
-        Buffer.add_char buf '[';
-        List.iter
-          (fun f ->
-            go f;
-            Buffer.add_char buf '|')
-          fs;
-        Buffer.add_char buf ']'
-  in
-  go f;
-  Buffer.contents buf
 
 let pp ?(label = fun x -> "x" ^ string_of_int x) () ppf f =
   let rec go ppf = function

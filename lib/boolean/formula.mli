@@ -84,6 +84,13 @@ val to_dnf : t -> int list list
     [Invalid_argument] on non-positive input. Worst-case exponential — meant
     for lineages of fixed queries on moderate databases. *)
 
+val absorb : int list list -> int list list
+(** Absorption on a monotone DNF whose clauses are strictly increasing
+    variable lists: removes duplicate clauses and every clause that is a
+    superset of another, and returns the rest in sorted order. Kept
+    clauses are indexed by their smallest variable, so a clause is only
+    compared with the kept clauses that could be its subsets. *)
+
 val as_cnf : t -> (int * bool) list list option
 (** [Some clauses] when the formula is syntactically a conjunction of
     disjunctions of literals — each literal [(v, sign)] with [sign = false]
@@ -92,10 +99,6 @@ val as_cnf : t -> (int * bool) list list option
     CNF-shaped by construction; this is the gate the engine's WMC strategy
     uses to pick the direct clause translation over Tseitin clausification
     (see [Probdb_cnf.Cnf]). Returns [None] on any other shape. *)
-
-val to_key : t -> string
-(** Compact serialisation of the normalised form; equal formulas (as values)
-    have equal keys. *)
 
 val pp : ?label:(int -> string) -> unit -> Format.formatter -> t -> unit
 val to_string : ?label:(int -> string) -> t -> string

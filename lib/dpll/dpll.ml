@@ -42,7 +42,7 @@ type stats = {
 type result = { prob : float; circuit : Circuit.t; trace_size : int; stats : stats }
 
 (* Hashed structural cache keys: the cache used to serialise every
-   subformula into a string ([F.to_key]) — an allocation per lookup and a
+   subformula into a string — an allocation per lookup and a
    resident copy per entry. Formulas are kept normalised by their smart
    constructors, so structural equality IS semantic key equality, and
    [F.hash] discriminates without materialising anything. *)

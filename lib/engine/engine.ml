@@ -247,23 +247,43 @@ let try_symmetric guard db q =
 (* The monotone DNF lineage that read-once factorisation and Karp–Luby
    work on, with the mode that maps its probability back to the query's;
    [Error] says why the query has none. *)
-let dnf_lineage prepared db =
+let dnf_lineage prepared ctx =
   match Prepare.bind_ucq prepared with
   | Error msg -> Error ("fragment: " ^ msg)
   | Ok (ucq, mode) -> (
       if List.exists (List.exists (fun (a : Cq.atom) -> a.Cq.comp)) ucq then
         Error "complemented atoms (lineage is not a monotone DNF)"
       else
-        let ctx = Lineage.create db in
+        let ctx = Lazy.force ctx in
         match Lineage.dnf_of_ucq ctx ucq with
         | clauses -> Ok (ctx, clauses, mode)
         | exception Invalid_argument msg -> Error msg)
 
-let try_read_once prepared db =
-  match dnf_lineage prepared db with
+(* What the grounded strategies share within one evaluation: one fact
+   index, the monotone DNF (read-once, Karp–Luby and the fallback) and the
+   full Boolean lineage (WMC, then OBDD). Each is built at most once, on
+   first use, so answers from the cheaper tiers never pay for them. *)
+type grounded = {
+  dnf : (Lineage.ctx * int list list * Ucq.mode, string) result Lazy.t;
+  lineage : (Lineage.ctx * Probdb_boolean.Formula.t, string) result Lazy.t;
+}
+
+let grounding prepared db q =
+  let ctx = lazy (Lineage.create db) in
+  { dnf = lazy (dnf_lineage prepared ctx);
+    lineage =
+      lazy
+        (Trace.with_span ~cat:"lineage" "lineage.ground" (fun () ->
+             let ctx = Lazy.force ctx in
+             match Lineage.of_query ctx q with
+             | f -> Ok (ctx, f)
+             | exception Invalid_argument msg -> Error msg)) }
+
+let try_read_once guard grounded =
+  match Lazy.force grounded.dnf with
   | Error reason -> Skip reason
   | Ok (ctx, clauses, mode) -> (
-      match Probdb_kc.Read_once.probability (Lineage.prob ctx) clauses with
+      match Probdb_kc.Read_once.probability ~guard (Lineage.prob ctx) clauses with
       | Some p -> Ok_outcome (Exact (Ucq.apply_mode mode p))
       | None -> Skip "lineage is not read-once")
 
@@ -281,21 +301,8 @@ let try_safe_plan prepared stats guard db =
         (Option.value ~default:"no safe plan (non-hierarchical)"
            (Prepare.plan_skip prepared))
 
-(* The grounded tier (WMC, then OBDD) works on the query's full Boolean
-   lineage. It is grounded at most once per evaluation, on first use, so
-   answers from the cheaper tiers never pay for it. A fresh context numbers
-   variables deterministically, so sharing one between the two counters
-   cannot change an answer. *)
-let grounding db q =
-  lazy
-    (Trace.with_span ~cat:"lineage" "lineage.ground" (fun () ->
-         let ctx = Lineage.create db in
-         match Lineage.of_query ctx q with
-         | f -> Ok (ctx, f)
-         | exception Invalid_argument msg -> Error msg))
-
 let try_obdd config stats guard grounded =
-  match Lazy.force grounded with
+  match Lazy.force grounded.lineage with
   | Error msg -> Skip msg
   | Ok (ctx, f) -> (
       let manager =
@@ -315,7 +322,7 @@ let try_obdd config stats guard grounded =
               spent = float_of_int n })
 
 let try_wmc config stats guard grounded =
-  match Lazy.force grounded with
+  match Lazy.force grounded.lineage with
   | Error msg -> Skip msg
   | Ok (ctx, f) -> (
       (* In the auto chain the clause-database counter only claims lineage
@@ -353,10 +360,10 @@ let sample ?guard config pool ~samples ctx clauses =
       Karp_luby.estimate ~seed:config.seed ?guard ~samples ~prob:(Lineage.prob ctx)
         clauses
 
-let try_karp_luby prepared config guard pool db =
+let try_karp_luby config guard pool grounded db =
   if not (Core.Tid.is_standard db) then Skip "non-standard probabilities"
   else
-    match dnf_lineage prepared db with
+    match Lazy.force grounded.dnf with
     | Error reason -> Skip reason
     | Ok (ctx, clauses, mode) ->
         let est = sample ~guard config pool ~samples:config.kl_samples ctx clauses in
@@ -384,10 +391,10 @@ let attempt prepared config stats guard pool grounded db q s =
     | Lifted -> try_lifted stats guard pool db q
     | Symmetric -> try_symmetric guard db q
     | Safe_plan -> try_safe_plan prepared stats guard db
-    | Read_once -> try_read_once prepared db
+    | Read_once -> try_read_once guard grounded
     | Wmc -> try_wmc config stats guard grounded
     | Obdd -> try_obdd config stats guard grounded
-    | Karp_luby -> try_karp_luby prepared config guard pool db
+    | Karp_luby -> try_karp_luby config guard pool grounded db
     | World_enum -> try_world_enum config guard db q
   in
   (* Every trial is a span on the trace timeline and a GC-delta region:
@@ -428,11 +435,20 @@ let promote_safe_plan prepared strategies =
    Runs unguarded — sampling is the one method whose cost is fixed up
    front, so completion is guaranteed. Returns [None] when the query has
    no monotone DNF lineage to sample (complemented atoms, non-standard
-   probabilities, outside the UCQ fragment). *)
-let kl_fallback prepared config pool ~eps ~delta ~max_samples db =
+   probabilities, outside the UCQ fragment). The fallback is the last
+   consumer of the grounding: it reuses a DNF an exact strategy already
+   built, and otherwise grounds one of its own. Forcing the shared one
+   would keep the fact index and the clauses reachable, so promoted,
+   through every sample; under load, where every request takes this path,
+   that raised overload-window's peak RSS by 4–6 MiB. *)
+let kl_fallback prepared config pool grounded ~eps ~delta ~max_samples db =
   if not (Core.Tid.is_standard db) then None
   else
-    match dnf_lineage prepared db with
+    let dnf =
+      if Lazy.is_val grounded.dnf then Lazy.force grounded.dnf
+      else dnf_lineage prepared (lazy (Lineage.create db))
+    in
+    match dnf with
     | Error _ -> None
     | Ok (ctx, clauses, mode) ->
         let m = max 1 (List.length clauses) in
@@ -463,7 +479,7 @@ let eval ?(config = default_config) ?stats ?prepared db q =
   let guard = guard_of_config config in
   let pool = pool_of_config config in
   let prepared = acquire_prepared config stats prepared q in
-  let grounded = grounding db q in
+  let grounded = grounding prepared db q in
   (* With degradation on, Karp–Luby is reserved for the fallback so that
      [degraded = true] means exactly "no exact strategy completed". *)
   let strategies =
@@ -519,7 +535,8 @@ let eval ?(config = default_config) ?stats ?prepared db q =
           Clock.time (fun () ->
               Stats.with_gc stats (fun () ->
                   Trace.with_span ~cat:"strategy" "karp-luby.fallback" (fun () ->
-                      kl_fallback prepared config pool ~eps ~delta ~max_samples db)))
+                      kl_fallback prepared config pool grounded ~eps ~delta ~max_samples
+                        db)))
         in
         Stats.record_phase stats Stats.Solve dt;
         match result with

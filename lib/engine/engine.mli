@@ -25,7 +25,9 @@
     + {e knowledge compilation to OBDD} (Sec. 7) — exact, grounded; blows
       up on hard queries and is capped by a node budget. WMC and OBDD are
       the grounded tier: the query's lineage is built at most once per
-      evaluation, on first use, and shared by both;
+      evaluation, on first use, and shared by both. Every grounded
+      strategy (read-once, WMC, OBDD, Karp–Luby and the fallback) numbers
+      variables through one fact index per evaluation;
     + {e Karp–Luby sampling} on the DNF lineage — an FPRAS for monotone
       UCQs when everything exact has failed;
     + {e possible-world enumeration} — the last resort for tiny databases.

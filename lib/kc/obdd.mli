@@ -6,10 +6,19 @@
     order. The package is a classical reduced OBDD implementation: a unique
     table keyed by (variable, low, high), a memoised [apply], Boolean
     operations, weighted model counting, and compilation from
-    {!Probdb_boolean.Formula}. *)
+    {!Probdb_boolean.Formula}.
+
+    Nodes are ints into growable int arrays (variable, children, level);
+    the unique table and the apply memos are open-addressed int arrays,
+    and the negation and WMC memos are dense arrays indexed by node. *)
 
 type manager
+
 type t
+(** A node of one manager. Handles are memoised per manager, so [a == b]
+    holds exactly when [a] and [b] are the same node (reduced OBDDs are
+    canonical: the same function under the same order). A handle refers
+    back to its manager, so compare handles with [==], never with [=]. *)
 
 exception Node_limit of int
 (** Raised by constructions when the manager exceeds its node budget — used

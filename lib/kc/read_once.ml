@@ -1,17 +1,6 @@
 module F = Probdb_boolean.Formula
+module Guard = Probdb_guard.Guard
 module Iset = Set.Make (Int)
-
-let clause_subsumes small big = List.for_all (fun x -> List.mem x big) small
-
-let absorb clauses =
-  let clauses = List.sort_uniq (List.compare Int.compare) clauses in
-  List.filter
-    (fun c ->
-      not
-        (List.exists
-           (fun c' -> (not (List.equal Int.equal c c')) && clause_subsumes c' c)
-           clauses))
-    clauses
 
 let vars_of clauses = List.fold_left (fun acc c -> List.fold_left (fun a v -> Iset.add v a) acc c) Iset.empty clauses
 
@@ -82,7 +71,7 @@ let co_components clauses =
   Hashtbl.fold (fun _ s acc -> s :: acc) groups []
 
 let project block clauses =
-  absorb
+  F.absorb
     (List.filter_map
        (fun c ->
          match List.filter (fun v -> Iset.mem v block) c with
@@ -91,21 +80,37 @@ let project block clauses =
        clauses)
 
 (* Normality: the DNF must equal the product of its co-component
-   projections. *)
-let product_equals clauses parts =
-  let rec combos = function
-    | [] -> [ [] ]
-    | part :: rest ->
-        let tails = combos rest in
-        List.concat_map
-          (fun clause -> List.map (fun tl -> List.sort_uniq Int.compare (clause @ tl)) tails)
-          part
+   projections. Both are antichains (a product of antichains over disjoint
+   blocks is one), and a clause splits uniquely along the blocks, so they
+   are equal iff the sizes agree and every clause's restriction to each
+   block is a clause of that block's projection — the product itself,
+   which can be far larger than the DNF, is never built. *)
+let product_equals clauses blocks projections =
+  let n = List.length clauses in
+  let size = List.fold_left (fun acc p -> if acc > n then acc else acc * List.length p) 1 projections in
+  size = n
+  &&
+  let members =
+    List.map
+      (fun p ->
+        let t = Hashtbl.create 16 in
+        List.iter (fun c -> Hashtbl.replace t c ()) p;
+        t)
+      projections
   in
-  let product = absorb (combos parts) in
-  List.equal (List.equal Int.equal) (absorb clauses) product
+  List.for_all
+    (fun c ->
+      List.for_all2
+        (fun block t -> Hashtbl.mem t (List.filter (fun v -> Iset.mem v block) c))
+        blocks members)
+    clauses
 
-let rec factor_clauses clauses =
-  match absorb clauses with
+(* Each factorisation step polls [guard] first: one step can cost a
+   quadratic co-component pass, and a DNF may recurse through many steps
+   before it is accepted or rejected. *)
+let rec factor_clauses guard clauses =
+  Guard.poll guard ~site:"read_once.factor";
+  match F.absorb clauses with
   | [] -> Some F.fls
   | [ [] ] -> Some F.tru
   | [ [ v ] ] -> Some (F.var v)
@@ -117,7 +122,7 @@ let rec factor_clauses clauses =
           let parts =
             List.map
               (fun block ->
-                factor_clauses
+                factor_clauses guard
                   (List.filter
                      (fun c -> match c with [] -> false | v :: _ -> Iset.mem v block)
                      clauses))
@@ -130,16 +135,16 @@ let rec factor_clauses clauses =
           | [] | [ _ ] -> None (* connected and co-connected with > 1 variable *)
           | co_comps ->
               let projections = List.map (fun block -> project block clauses) co_comps in
-              if not (product_equals clauses projections) then None
+              if not (product_equals clauses co_comps projections) then None
               else
-                let parts = List.map factor_clauses projections in
+                let parts = List.map (factor_clauses guard) projections in
                 if List.exists Option.is_none parts then None
                 else Some (F.conj (List.map Option.get parts))))
 
-let factor clauses =
+let factor ?(guard = Guard.unlimited) clauses =
   if List.exists (List.exists (fun v -> v < 0)) clauses then
     invalid_arg "Read_once.factor: negative literals are not supported";
-  factor_clauses clauses
+  factor_clauses guard clauses
 
 let is_read_once clauses = Option.is_some (factor clauses)
 
@@ -151,4 +156,4 @@ let rec wmc_formula p = function
   | F.And fs -> List.fold_left (fun acc f -> acc *. wmc_formula p f) 1.0 fs
   | F.Or fs -> 1.0 -. List.fold_left (fun acc f -> acc *. (1.0 -. wmc_formula p f)) 1.0 fs
 
-let probability p clauses = Option.map (wmc_formula p) (factor clauses)
+let probability ?guard p clauses = Option.map (wmc_formula p) (factor ?guard clauses)

@@ -19,14 +19,19 @@
       ({e normality});
     - a single variable is read-once; anything else is not. *)
 
-val factor : int list list -> Probdb_boolean.Formula.t option
+val factor :
+  ?guard:Probdb_guard.Guard.t -> int list list -> Probdb_boolean.Formula.t option
 (** [factor clauses] takes a monotone DNF as sorted variable lists (use
     [Probdb_boolean.Formula.to_dnf] or [Probdb_lineage.Lineage.dnf_of_ucq],
     both of which apply absorption) and returns an equivalent read-once
-    formula, or [None] if the function is not read-once. *)
+    formula, or [None] if the function is not read-once. [guard] (default
+    {!Probdb_guard.Guard.unlimited}) is polled at every factorisation step
+    (site ["read_once.factor"]), so a deadline or cancellation interrupts
+    recognition with [Probdb_guard.Guard.Exhausted]. *)
 
 val is_read_once : int list list -> bool
 
-val probability : (int -> float) -> int list list -> float option
+val probability :
+  ?guard:Probdb_guard.Guard.t -> (int -> float) -> int list list -> float option
 (** Linear-time probability through the factorisation; [None] when the DNF
-    is not read-once. *)
+    is not read-once. [guard] is polled as in {!factor}. *)

@@ -5,38 +5,85 @@ module Semantics = Probdb_logic.Semantics
 module F = Probdb_boolean.Formula
 module Pool = Probdb_boolean.Var_pool
 
+(* Facts are indexed per relation by tuple. The hash folds the values
+   directly, without the intermediate list [Tuple.hash] builds. *)
+module Tuple_tbl = Hashtbl.Make (struct
+  type t = Core.Tuple.t
+
+  let equal = Core.Tuple.equal
+
+  let hash t =
+    List.fold_left
+      (fun h v ->
+        let hv =
+          match v with
+          | Core.Value.Int x -> x
+          | Core.Value.Str s -> Hashtbl.hash s
+          | Core.Value.Bool b -> Bool.to_int b
+        in
+        (h * 31) + hv)
+      17 t
+    land max_int
+end)
+
+(* Variable [id] is the [id]-th fact of [Tid.support]: its fact and its
+   marginal sit at index [id] of two arrays. The string-labelled pool is
+   only built for the printers that ask for it. *)
 type ctx = {
   db : Core.Tid.t;
-  pool : Pool.t;
-  facts : (int, string * Core.Tuple.t) Hashtbl.t;
+  index : (string, int Tuple_tbl.t) Hashtbl.t;
+  facts : (string * Core.Tuple.t) array;
+  probs : float array;
+  pool : Pool.t Lazy.t;
 }
 
 let fact_label rel tuple = Printf.sprintf "%s%s" rel (Core.Tuple.to_string tuple)
 
 let create db =
-  let pool = Pool.create () in
-  let facts = Hashtbl.create 64 in
-  List.iter
-    (fun (rel, tuple, p) ->
-      let id = Pool.intern pool ~prob:p (fact_label rel tuple) in
-      Hashtbl.replace facts id (rel, tuple))
-    (Core.Tid.support db);
-  { db; pool; facts }
+  let support = Core.Tid.support db in
+  let n = List.length support in
+  let facts = Array.make n ("", []) in
+  let probs = Array.make n 0.0 in
+  let index = Hashtbl.create 8 in
+  List.iteri
+    (fun id (rel, tuple, p) ->
+      facts.(id) <- (rel, tuple);
+      probs.(id) <- p;
+      let tbl =
+        match Hashtbl.find_opt index rel with
+        | Some tbl -> tbl
+        | None ->
+            let tbl = Tuple_tbl.create 64 in
+            Hashtbl.replace index rel tbl;
+            tbl
+      in
+      Tuple_tbl.replace tbl tuple id)
+    support;
+  let pool =
+    lazy
+      (let pool = Pool.create () in
+       (* [fresh] keeps pool ids equal to fact ids even if two facts
+          render to the same label *)
+       Array.iteri
+         (fun id (rel, tuple) -> ignore (Pool.fresh pool ~prob:probs.(id) (fact_label rel tuple)))
+         facts;
+       pool)
+  in
+  { db; index; facts; probs; pool }
 
 let db ctx = ctx.db
-let pool ctx = ctx.pool
+let pool ctx = Lazy.force ctx.pool
 
 let var_of_fact ctx rel tuple =
-  if Core.Tid.mem_relation ctx.db rel && Core.Relation.mem (Core.Tid.relation ctx.db rel) tuple
-  then Pool.find ctx.pool (fact_label rel tuple)
-  else None
+  match Hashtbl.find_opt ctx.index rel with
+  | Some tbl -> Tuple_tbl.find_opt tbl tuple
+  | None -> None
 
 let fact_of_var ctx id =
-  match Hashtbl.find_opt ctx.facts id with
-  | Some fact -> fact
-  | None -> raise Not_found
+  if id < 0 || id >= Array.length ctx.facts then raise Not_found else ctx.facts.(id)
 
-let prob ctx id = Pool.prob ctx.pool id
+let prob ctx id =
+  if id < 0 || id >= Array.length ctx.probs then raise Not_found else ctx.probs.(id)
 
 let atom_formula ctx rel tuple =
   match var_of_fact ctx rel tuple with Some id -> F.var id | None -> F.fls
@@ -86,18 +133,6 @@ let of_cq ctx cq =
 
 let of_ucq ctx ucq = F.disj (List.map (of_cq ctx) ucq)
 
-let clause_subsumes small big = List.for_all (fun x -> List.mem x big) small
-
-let absorb clauses =
-  let clauses = List.sort_uniq (List.compare Int.compare) clauses in
-  List.filter
-    (fun c ->
-      not
-        (List.exists
-           (fun c' -> (not (List.equal Int.equal c c')) && clause_subsumes c' c)
-           clauses))
-    clauses
-
 let dnf_of_ucq ctx ucq =
   let domain = Core.Tid.domain ctx.db in
   let eval_arg env = function
@@ -125,7 +160,7 @@ let dnf_of_ucq ctx ucq =
     in
     assign [] vars
   in
-  absorb (List.concat_map cq_clauses ucq)
+  F.absorb (List.concat_map cq_clauses ucq)
 
 let multiplicities clauses =
   let tbl = Hashtbl.create 64 in

@@ -13,16 +13,21 @@
     |DOM|^arity. *)
 
 type ctx
-(** Grounding context: the database plus the pool mapping facts to Boolean
-    variables. *)
+(** Grounding context: the database plus a per-evaluation fact index that
+    maps facts to Boolean variables. *)
 
 val create : Probdb_core.Tid.t -> ctx
+(** One pass over [Tid.support]: variable [i] is the [i]-th listed fact,
+    found through a per-relation tuple index; probabilities and facts sit
+    in arrays indexed by variable. *)
 
 val db : ctx -> Probdb_core.Tid.t
 
 val pool : ctx -> Probdb_boolean.Var_pool.t
-(** The fact/variable bijection. Variable probabilities equal the tuple
-    marginals, so the pool doubles as the WMC weight function. *)
+(** The fact/variable bijection with printable labels (["S(1, 2)"]), for
+    the [probdb lineage] and [probdb compile] printers. Built on the first
+    call; pool ids equal the context's variables and their probabilities
+    the tuple marginals. *)
 
 val var_of_fact : ctx -> string -> Probdb_core.Tuple.t -> int option
 (** The variable of a listed fact; [None] when the tuple is unlisted

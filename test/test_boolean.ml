@@ -164,12 +164,26 @@ let prop_dnf_equivalent =
       let dnf_true = List.exists (List.for_all a) dnf in
       F.eval a f = dnf_true)
 
-let prop_key_identifies_formula =
-  Test_util.qcheck "to_key injective on normalised forms"
-    QCheck2.Gen.(pair gen_formula gen_formula)
-    (fun (f, g) ->
-      if F.equal f g then String.equal (F.to_key f) (F.to_key g)
-      else not (String.equal (F.to_key f) (F.to_key g)))
+(* The quadratic definition of absorption, kept as the oracle for the
+   indexed [F.absorb]: drop every clause some other clause is a subset of. *)
+let naive_absorb clauses =
+  let clauses = List.sort_uniq (List.compare Int.compare) clauses in
+  List.filter
+    (fun c ->
+      not
+        (List.exists
+           (fun c' ->
+             (not (List.equal Int.equal c c')) && List.for_all (fun x -> List.mem x c) c')
+           clauses))
+    clauses
+
+let prop_absorb_matches_naive =
+  Test_util.qcheck ~count:500 "absorb = naive quadratic absorption"
+    QCheck2.Gen.(
+      list_size (int_range 0 14)
+        (map (List.sort_uniq Int.compare) (list_size (int_range 0 4) (int_range 0 7))))
+    (fun clauses ->
+      List.equal (List.equal Int.equal) (naive_absorb clauses) (F.absorb clauses))
 
 let prop_demorgan =
   Test_util.qcheck "De Morgan via nnf"
@@ -195,7 +209,7 @@ let suites =
         prop_condition_agrees_with_eval;
         prop_shannon_expansion;
         prop_dnf_equivalent;
-        prop_key_identifies_formula;
+        prop_absorb_matches_naive;
         prop_demorgan;
       ] );
   ]

@@ -140,6 +140,47 @@ let test_read_once_strategy () =
   Alcotest.(check string) "falls through to obdd" "obdd" (E.strategy_name r2.E.strategy);
   Alcotest.(check bool) "read-once skipped" true (List.mem_assoc E.Read_once r2.E.skipped)
 
+(* Read-once recognition runs under the evaluation's guard: a deadline
+   already past trips it at its first factorisation step, and q_j on the
+   domain-8 grounded-exact TID under a 500 ms deadline comes back within
+   the deadline plus the time it takes to ground the DNF. *)
+let test_read_once_obeys_deadline () =
+  let db =
+    Gen.random_tid ~seed:3 ~domain_size:8
+      [ Gen.spec ~density:1.0 "R" 1; Gen.spec ~density:0.4 "S" 2;
+        Gen.spec ~density:0.6 "T" 1; Gen.spec ~density:0.3 "S1" 2;
+        Gen.spec ~density:0.5 "S2" 2; Gen.spec ~density:0.5 "S3" 2 ]
+  in
+  let q = Q.q_j.Q.query in
+  let config deadline_s =
+    { E.default_config with
+      E.strategies = [ E.Read_once ]; deadline_s = Some deadline_s; degrade = None }
+  in
+  (match E.eval ~config:(config 1e-9) db q with
+  | Ok _ -> Alcotest.fail "expected the deadline to trip read-once"
+  | Error _ -> ());
+  let stats = Probdb_obs.Stats.create () in
+  ignore (E.eval ~config:(config 1e-9) ~stats db q);
+  Alcotest.(check (list (triple string string string)))
+    "tripped at the factorisation site"
+    [ ("read-once", "tripped", "deadline 0.000s exhausted at read_once.factor") ]
+    (List.map
+       (fun (s, k, d) ->
+         (s, k, (try String.sub d 0 (String.index d '(') |> String.trim with Not_found -> d)))
+       stats.Probdb_obs.Stats.chain);
+  let ground_s =
+    let t0 = Unix.gettimeofday () in
+    let ctx = Probdb_lineage.Lineage.create db in
+    ignore (Probdb_lineage.Lineage.dnf_of_ucq ctx (fst (L.Ucq.of_sentence q)));
+    Unix.gettimeofday () -. t0
+  in
+  let t0 = Unix.gettimeofday () in
+  ignore (E.eval ~config:(config 0.5) db q);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed > 0.5 +. ground_s +. 0.25 then
+    Alcotest.failf "read-once ran %.3fs past a 0.5s deadline (grounding %.3fs)" elapsed
+      ground_s
+
 let test_strategy_names () =
   (* one name table: every strategy round-trips through its name, in the
      default chain order, and the retired tree-DPLL name is unknown *)
@@ -227,6 +268,7 @@ let suites =
         Alcotest.test_case "beyond-rules query still answers" `Quick test_ranking_limited_query_still_answers;
         Alcotest.test_case "symmetric strategy" `Quick test_symmetric_strategy;
         Alcotest.test_case "read-once strategy" `Quick test_read_once_strategy;
+        Alcotest.test_case "read-once obeys the deadline" `Quick test_read_once_obeys_deadline;
         Alcotest.test_case "strategy name table" `Quick test_strategy_names;
         Alcotest.test_case "non-Boolean answers" `Quick test_answers;
         Alcotest.test_case "expected answer count" `Quick test_expected_answer_count;

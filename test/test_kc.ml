@@ -94,6 +94,59 @@ let prop_obdd_canonical_equivalence =
       in
       equivalent = (bf == bg))
 
+let gen_clauses =
+  QCheck2.Gen.(
+    let clause = list_size (int_range 1 3) (int_range 0 5) in
+    list_size (int_range 0 5) clause)
+
+(* Building one function through different operation orders must land on
+   the same memoised handle: [==] is node identity. *)
+let prop_obdd_shuffled_orders_share_handle =
+  Test_util.qcheck "shuffled constructions are =="
+    QCheck2.Gen.(pair gen_clauses (int_bound 1_000_000))
+    (fun (clauses, seed) ->
+      let m = Obdd.manager ~order:[ 0; 1; 2; 3; 4; 5 ] () in
+      let rng = Random.State.make [| seed |] in
+      let shuffle l =
+        List.map snd
+          (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+      in
+      let build clauses =
+        List.fold_left
+          (fun acc c ->
+            Obdd.disj m acc
+              (List.fold_left (fun acc v -> Obdd.conj m acc (Obdd.var m v)) (Obdd.one m) c))
+          (Obdd.zero m) clauses
+      in
+      let a = build clauses in
+      let b = build (List.map shuffle (shuffle clauses)) in
+      let f = F.disj (List.map (fun c -> F.conj (List.map F.var c)) clauses) in
+      a == b && a == Obdd.of_formula m f)
+
+(* The cap counts distinct nodes: a fresh manager capped at exactly the
+   node count a compilation needs succeeds, one below it trips. *)
+let prop_obdd_node_limit_boundary =
+  Test_util.qcheck "Node_limit trips at node_count - 1, not at node_count" gen_formula
+    (fun f ->
+      let order = [ 0; 1; 2; 3; 4 ] in
+      let free = Obdd.manager ~order () in
+      ignore (Obdd.of_formula free f);
+      let n = Obdd.node_count free in
+      let at_count =
+        let m = Obdd.manager ~max_nodes:n ~order () in
+        match Obdd.of_formula m f with
+        | _ -> Obdd.node_count m = n
+        | exception Obdd.Node_limit _ -> false
+      in
+      let below =
+        n = 0
+        ||
+        match Obdd.of_formula (Obdd.manager ~max_nodes:(n - 1) ~order ()) f with
+        | _ -> false
+        | exception Obdd.Node_limit k -> k = n - 1
+      in
+      at_count && below)
+
 (* ---------- Circuits ---------- *)
 
 let test_circuit_fig2a () =
@@ -241,13 +294,20 @@ let test_hierarchical_lineage_is_read_once () =
   Alcotest.(check bool) "H0 lineage not read-once" false
     (Read_once.is_read_once h0_clauses)
 
+let test_read_once_polls_guard () =
+  (* a fault injected at the first poll trips at the factorisation site *)
+  let guard =
+    Probdb_guard.Guard.create
+      ~fault:(Probdb_guard.Guard.Trip_at_poll { poll = 1; resource = Probdb_guard.Guard.Fault })
+      ()
+  in
+  match Read_once.probability ~guard probs [ [ 0; 1 ]; [ 1; 2 ] ] with
+  | _ -> Alcotest.fail "expected the guard to trip"
+  | exception Probdb_guard.Guard.Exhausted trip ->
+      Alcotest.(check string) "site" "read_once.factor" trip.Probdb_guard.Guard.site
+
 (* Property: factoring preserves semantics whenever it succeeds; and the
    factored form never repeats a variable. *)
-let gen_clauses =
-  QCheck2.Gen.(
-    let clause = list_size (int_range 1 3) (int_range 0 5) in
-    list_size (int_range 0 5) clause)
-
 let prop_read_once_sound =
   Test_util.qcheck ~count:300 "read-once factorisation is sound" gen_clauses
     (fun clauses ->
@@ -293,6 +353,7 @@ let suites =
         Alcotest.test_case "edge cases" `Quick test_read_once_edge_cases;
         Alcotest.test_case "hierarchical lineage is read-once" `Quick
           test_hierarchical_lineage_is_read_once;
+        Alcotest.test_case "polls the guard" `Quick test_read_once_polls_guard;
         prop_read_once_sound;
         prop_read_once_complete_on_roformulas;
       ] );
@@ -305,6 +366,8 @@ let suites =
         Alcotest.test_case "default order" `Quick test_obdd_default_order;
         prop_obdd_wmc_matches_brute_force;
         prop_obdd_canonical_equivalence;
+        prop_obdd_shuffled_orders_share_handle;
+        prop_obdd_node_limit_boundary;
       ] );
     ( "kc.circuit",
       [

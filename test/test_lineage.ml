@@ -93,6 +93,47 @@ let test_fact_var_roundtrip () =
       Test_util.check_float "prob" 0.4 (Lineage.prob ctx id));
   Alcotest.(check bool) "unlisted" true (Lineage.var_of_fact ctx "S" (t [ 9; 9 ]) = None)
 
+(* The fact index numbers variables 0..n-1 in [Tid.support] order, the
+   inverse maps agree, and the lazily built pool carries the labels and
+   probabilities a pool interning every listed fact in order would. *)
+let check_fact_index db =
+  let ctx = Lineage.create db in
+  let support = Core.Tid.support db in
+  let reference = Probdb_boolean.Var_pool.create () in
+  List.iteri
+    (fun id (rel, tuple, p) ->
+      let label = rel ^ Core.Tuple.to_string tuple in
+      Alcotest.(check int) "interned in support order" id
+        (Probdb_boolean.Var_pool.intern reference ~prob:p label);
+      Alcotest.(check (option int)) "support order" (Some id) (Lineage.var_of_fact ctx rel tuple);
+      let rel', tuple' = Lineage.fact_of_var ctx id in
+      Alcotest.(check bool) "fact_of_var . var_of_fact" true
+        (rel = rel' && Core.Tuple.equal tuple tuple');
+      Alcotest.(check (float 0.0)) "prob" p (Lineage.prob ctx id))
+    support;
+  let pool = Lineage.pool ctx in
+  let n = List.length support in
+  Alcotest.(check int) "pool size" n (Probdb_boolean.Var_pool.size pool);
+  for id = 0 to n - 1 do
+    Alcotest.(check string) "pool label"
+      (Probdb_boolean.Var_pool.label reference id)
+      (Probdb_boolean.Var_pool.label pool id);
+    Alcotest.(check (float 0.0)) "pool prob"
+      (Probdb_boolean.Var_pool.prob reference id)
+      (Probdb_boolean.Var_pool.prob pool id)
+  done;
+  Alcotest.(check bool) "foreign variable" true
+    (match Lineage.fact_of_var ctx n with _ -> false | exception Not_found -> true)
+
+let test_fact_index () =
+  check_fact_index (small_tid ());
+  check_fact_index (Test_util.fig1_tid ());
+  check_fact_index
+    (Probdb_workload.Gen.random_tid ~seed:3 ~domain_size:6
+       [ Probdb_workload.Gen.spec ~density:0.5 "R" 1;
+         Probdb_workload.Gen.spec ~density:0.4 "S" 2;
+         Probdb_workload.Gen.spec ~density:0.3 "U" 3 ])
+
 let ucq_of s =
   match Logic.Ucq.of_sentence (parse_s s) with
   | ucq, Logic.Ucq.Direct -> ucq
@@ -194,6 +235,7 @@ let suites =
         Alcotest.test_case "H0 lineage structure" `Quick test_lineage_structure;
         Alcotest.test_case "unlisted tuples are false" `Quick test_unlisted_tuples_are_false;
         Alcotest.test_case "fact/var roundtrip" `Quick test_fact_var_roundtrip;
+        Alcotest.test_case "fact index and lazy pool" `Quick test_fact_index;
         Alcotest.test_case "of_ucq matches of_query" `Quick test_of_cq_matches_of_query;
         Alcotest.test_case "DNF lineage and multiplicities" `Quick test_dnf_lineage;
         prop_lineage_equals_brute_force;
