@@ -76,10 +76,13 @@ bench-smoke: build
 	echo "bench-smoke: BENCH_storage.json schema + open-speedup + lazy-fault invariants — OK"
 
 # The grounded tier: the boolean/lineage/kc suites and the golden file of
-# grounded answers and OBDD sizes, then two CLI runs on the domain-8
-# grounded-exact TID that used to overrun their deadlines — Karp–Luby on
-# q_w (absorbing an 18k-clause DNF) must answer under `timeout 5`, and
-# read-once on q_j must stop under `timeout 3` for a 500 ms deadline.
+# grounded answers and OBDD sizes, then CLI runs that used to overrun their
+# deadlines. On the domain-8 grounded-exact TID, Karp–Luby on q_w must
+# answer under `timeout 5` and read-once on q_j must stop under `timeout 3`
+# for a 500 ms deadline. On gen-32 and gen-128 (ROADMAP's schema), q_w
+# under Karp–Luby, read-once, WMC and OBDD must each exit 0 (an answer) or
+# 7 (a typed trip) under `timeout` set to its deadline plus one second —
+# the grounding polls the guard, so none may run on past it.
 check-grounded: build
 	@timeout 300 dune exec --no-build test/main.exe -- test 'kc|lineage|boolean|golden' -c || \
 		{ echo "check-grounded: suites failed (exit $$?)"; exit 1; }; \
@@ -94,7 +97,19 @@ check-grounded: build
 		--method read-once --deadline-ms 500 \
 		"exists x y u v. R(x) && S(x,y) && T(u) && S(u,v)" >/dev/null || \
 		{ echo "check-grounded: read-once on q_j failed or overran (exit $$?)"; exit 1; }; \
-	echo "check-grounded: suites + golden answers + q_w/q_j within their deadlines — OK"
+	for n in 32 128; do \
+		dune exec --no-build bin/probdb.exe -- gen --out "$$tmp/gen-$$n" --domain $$n --seed 3 \
+			R:1:0.9 S:2:0.4 T:1:0.6 S1:2:0.3 S2:2:0.5 S3:2:0.5 >/dev/null; \
+	done; \
+	for run in "32 3 karp-luby --deadline-ms 2000" "32 1.2 read-once --no-degrade --deadline-ms 200" \
+		"128 1.2 wmc --no-degrade --deadline-ms 200" "128 1.2 obdd --no-degrade --deadline-ms 200"; do \
+		set -- $$run; n=$$1; limit=$$2; shift 2; \
+		timeout $$limit dune exec --no-build bin/probdb.exe -- eval --db "$$tmp/gen-$$n" \
+			--method "$$@" "$$qw" >/dev/null 2>&1; code=$$?; \
+		[ $$code -eq 0 ] || [ $$code -eq 7 ] || \
+			{ echo "check-grounded: q_w via $$1 on gen-$$n exited $$code under timeout $$limit"; exit 1; }; \
+	done; \
+	echo "check-grounded: suites + golden answers + q_j/q_w within their deadlines — OK"
 
 # The grounded-WMC equivalence suite on its own: the clause-database
 # counter against brute force and the tree DPLL reference across the

@@ -109,7 +109,6 @@ let provenance_part () =
     Core.World.of_facts
       [ ("R", t [ 0 ]); ("R", t [ 1 ]); ("S", t [ 0; 1 ]); ("S", t [ 1; 1 ]) ]
   in
-  let domain = List.init 3 Core.Value.int in
   let cq =
     match L.Ucq.of_sentence (L.Parser.parse_sentence "exists x y. R(x) && S(x,y)") with
     | [ cq ], _ -> cq
@@ -124,14 +123,14 @@ let provenance_part () =
     | "S", [ Core.Value.Int i; Core.Value.Int j ] -> S.Polynomial.var (10 + (3 * i) + j)
     | _ -> S.Polynomial.zero
   in
-  let ann_poly rel tuple =
-    if Core.World.mem world rel tuple then indeterminate rel tuple else S.Polynomial.zero
+  let facts_poly =
+    List.map (fun (rel, tuple) -> (rel, tuple, indeterminate rel tuple)) (Core.World.facts world)
   in
   Printf.printf "query: exists x y. R(x) && S(x,y), world: {R(0),R(1),S(0,1),S(1,1)}\n";
-  Printf.printf "  Bool      : %b\n" (B.eval_cq ~domain (B.of_world world) cq);
-  Printf.printf "  Counting  : %d derivations\n" (C.eval_cq ~domain (C.of_world world) cq);
+  Printf.printf "  Bool      : %b\n" (B.eval_cq (B.of_world world) cq);
+  Printf.printf "  Counting  : %d derivations\n" (C.eval_cq (C.of_world world) cq);
   Printf.printf "  Polynomial: %s\n"
-    (Format.asprintf "%a" S.Polynomial.pp (P.eval_cq ~domain ann_poly cq))
+    (Format.asprintf "%a" S.Polynomial.pp (P.eval_cq facts_poly cq))
 
 let run () =
   Common.header "E13: extensions — read-once, open world, BID, provenance";

@@ -68,7 +68,11 @@ let nary ~absorbing ~unit_ ~flatten ~wrap children =
   | None -> absorbing
   | Some children -> (
       let children = List.sort_uniq compare children in
-      let complement f = List.exists (fun g -> equal g (neg f)) children in
+      (* a complementary pair is some [Not g] next to [g] *)
+      let complement = function
+        | Not g -> List.exists (equal g) children
+        | _ -> false
+      in
       if List.exists complement children then absorbing
       else
         match children with
@@ -176,7 +180,7 @@ let rec sorted_subset small big =
       else if x > y then sorted_subset small ys
       else false
 
-let absorb clauses =
+let absorb ?(guard = Probdb_guard.Guard.unlimited) clauses =
   match List.sort_uniq (List.compare Int.compare) clauses with
   | ([] | [ _ ]) as clauses -> clauses
   | [] :: _ -> [ [] ] (* the empty clause sorts first and subsumes all *)
@@ -190,8 +194,10 @@ let absorb clauses =
       let kept = Array.make (Array.length arr) false in
       let by_head = Hashtbl.create 64 in
       let heads v = Option.value ~default:[] (Hashtbl.find_opt by_head v) in
+      let ticks = ref 0 in
       List.iter
         (fun (_, i) ->
+          Probdb_guard.Guard.tick guard ~site:"dnf.absorb" ticks;
           let c = arr.(i) in
           if not (List.exists (fun v -> List.exists (fun k -> sorted_subset k c) (heads v)) c)
           then begin

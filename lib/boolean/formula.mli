@@ -84,12 +84,14 @@ val to_dnf : t -> int list list
     [Invalid_argument] on non-positive input. Worst-case exponential — meant
     for lineages of fixed queries on moderate databases. *)
 
-val absorb : int list list -> int list list
+val absorb : ?guard:Probdb_guard.Guard.t -> int list list -> int list list
 (** Absorption on a monotone DNF whose clauses are strictly increasing
     variable lists: removes duplicate clauses and every clause that is a
     superset of another, and returns the rest in sorted order. Kept
     clauses are indexed by their smallest variable, so a clause is only
-    compared with the kept clauses that could be its subsets. *)
+    compared with the kept clauses that could be its subsets. [guard]
+    (default {!Probdb_guard.Guard.unlimited}) is ticked once per clause
+    tested, at site ["dnf.absorb"]. *)
 
 val as_cnf : t -> (int * bool) list list option
 (** [Some clauses] when the formula is syntactically a conjunction of

@@ -2,7 +2,7 @@ type t = Value.t list
 
 let compare = List.compare Value.compare
 let equal a b = compare a b = 0
-let hash t = Hashtbl.hash (List.map Value.hash t)
+let hash t = List.fold_left (fun h v -> (h * 31) + Value.hash v) 17 t land max_int
 let arity = List.length
 
 let pp ppf t =
@@ -10,6 +10,12 @@ let pp ppf t =
 
 let to_string t = Format.asprintf "%a" pp t
 let of_ints xs = List.map Value.int xs
+
+let rec all k domain =
+  if k = 0 then [ [] ]
+  else
+    let rest = all (k - 1) domain in
+    List.concat_map (fun v -> List.map (fun t -> v :: t) rest) domain
 
 module Ord = struct
   type nonrec t = t

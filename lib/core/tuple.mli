@@ -25,5 +25,9 @@ val to_string : t -> string
 val of_ints : int list -> t
 (** Wraps each integer as a {!Value.Int}; handy for test fixtures. *)
 
+val all : int -> Value.t list -> t list
+(** [all k domain]: the cartesian power [domain^k], in domain order with
+    the first component varying slowest. *)
+
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

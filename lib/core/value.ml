@@ -15,9 +15,9 @@ let compare a b =
 let equal a b = compare a b = 0
 
 let hash = function
-  | Int x -> Hashtbl.hash (0, x)
-  | Str s -> Hashtbl.hash (1, s)
-  | Bool b -> Hashtbl.hash (2, b)
+  | Int x -> x
+  | Str s -> Hashtbl.hash s
+  | Bool b -> Bool.to_int b
 
 let to_string = function
   | Int x -> string_of_int x

@@ -247,7 +247,7 @@ let try_symmetric guard db q =
 (* The monotone DNF lineage that read-once factorisation and Karp–Luby
    work on, with the mode that maps its probability back to the query's;
    [Error] says why the query has none. *)
-let dnf_lineage prepared ctx =
+let dnf_lineage ~guard prepared ctx =
   match Prepare.bind_ucq prepared with
   | Error msg -> Error ("fragment: " ^ msg)
   | Ok (ucq, mode) -> (
@@ -255,27 +255,27 @@ let dnf_lineage prepared ctx =
         Error "complemented atoms (lineage is not a monotone DNF)"
       else
         let ctx = Lazy.force ctx in
-        match Lineage.dnf_of_ucq ctx ucq with
-        | clauses -> Ok (ctx, clauses, mode)
-        | exception Invalid_argument msg -> Error msg)
+        Ok (ctx, Lineage.dnf_of_ucq ~guard ctx ucq, mode))
 
 (* What the grounded strategies share within one evaluation: one fact
    index, the monotone DNF (read-once, Karp–Luby and the fallback) and the
    full Boolean lineage (WMC, then OBDD). Each is built at most once, on
-   first use, so answers from the cheaper tiers never pay for them. *)
+   first use, so answers from the cheaper tiers never pay for them. Both
+   ground under the evaluation's guard; [Lazy.force] re-raises a trip to
+   every later strategy, which records it as its own. *)
 type grounded = {
   dnf : (Lineage.ctx * int list list * Ucq.mode, string) result Lazy.t;
   lineage : (Lineage.ctx * Probdb_boolean.Formula.t, string) result Lazy.t;
 }
 
-let grounding prepared db q =
+let grounding guard prepared db q =
   let ctx = lazy (Lineage.create db) in
-  { dnf = lazy (dnf_lineage prepared ctx);
+  { dnf = lazy (dnf_lineage ~guard prepared ctx);
     lineage =
       lazy
         (Trace.with_span ~cat:"lineage" "lineage.ground" (fun () ->
              let ctx = Lazy.force ctx in
-             match Lineage.of_query ctx q with
+             match Lineage.of_query ~guard ctx q with
              | f -> Ok (ctx, f)
              | exception Invalid_argument msg -> Error msg)) }
 
@@ -432,21 +432,24 @@ let promote_safe_plan prepared strategies =
 
 (* The (ε,δ) fallback: Karp–Luby on the monotone DNF lineage, with the
    sample count from the classical FPRAS bound capped at [max_samples].
-   Runs unguarded — sampling is the one method whose cost is fixed up
-   front, so completion is guaranteed. Returns [None] when the query has
-   no monotone DNF lineage to sample (complemented atoms, non-standard
+   It grounds under a child of the evaluation's guard, which cancellation
+   reaches but the deadline does not: a degraded answer completes rather
+   than drops. Returns [None] when cancelled or when the query has no
+   monotone DNF lineage to sample (complemented atoms, non-standard
    probabilities, outside the UCQ fragment). The fallback is the last
    consumer of the grounding: it reuses a DNF an exact strategy already
    built, and otherwise grounds one of its own. Forcing the shared one
    would keep the fact index and the clauses reachable, so promoted,
    through every sample; under load, where every request takes this path,
    that raised overload-window's peak RSS by 4–6 MiB. *)
-let kl_fallback prepared config pool grounded ~eps ~delta ~max_samples db =
+let kl_fallback prepared config guard pool grounded ~eps ~delta ~max_samples db =
   if not (Core.Tid.is_standard db) then None
   else
     let dnf =
       if Lazy.is_val grounded.dnf then Lazy.force grounded.dnf
-      else dnf_lineage prepared (lazy (Lineage.create db))
+      else
+        try dnf_lineage ~guard:(Guard.create ~parent:guard ()) prepared (lazy (Lineage.create db))
+        with Guard.Exhausted trip -> Error (Guard.describe trip)
     in
     match dnf with
     | Error _ -> None
@@ -479,7 +482,7 @@ let eval ?(config = default_config) ?stats ?prepared db q =
   let guard = guard_of_config config in
   let pool = pool_of_config config in
   let prepared = acquire_prepared config stats prepared q in
-  let grounded = grounding prepared db q in
+  let grounded = grounding guard prepared db q in
   (* With degradation on, Karp–Luby is reserved for the fallback so that
      [degraded = true] means exactly "no exact strategy completed". *)
   let strategies =
@@ -535,8 +538,8 @@ let eval ?(config = default_config) ?stats ?prepared db q =
           Clock.time (fun () ->
               Stats.with_gc stats (fun () ->
                   Trace.with_span ~cat:"strategy" "karp-luby.fallback" (fun () ->
-                      kl_fallback prepared config pool grounded ~eps ~delta ~max_samples
-                        db)))
+                      kl_fallback prepared config guard pool grounded ~eps ~delta
+                        ~max_samples db)))
         in
         Stats.record_phase stats Stats.Solve dt;
         match result with
@@ -618,14 +621,7 @@ let answers ?config ~free db q =
     invalid_arg
       (Printf.sprintf "Engine.answers: undeclared free variables %s"
          (String.concat ", " undeclared));
-  let domain = Core.Tid.domain db in
-  let rec bindings = function
-    | [] -> [ [] ]
-    | _ :: rest ->
-        let tails = bindings rest in
-        List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) domain
-  in
-  bindings free
+  Core.Tuple.all (List.length free) (Core.Tid.domain db)
   |> List.filter_map (fun binding ->
          let ground =
            List.fold_left2 (fun f x v -> Fo.subst_const x v f) q free binding

@@ -18,7 +18,10 @@
     ([Wmc] per decision, [Dpll] per Shannon expansion, [Obdd] per node
     allocation, [Lift] per rule application, [Plan] per operator, [Wfomc]
     per composition, [Karp_luby] per sample, the engine's world enumeration
-    per world). Exhaustion of any resource raises the single
+    per world), and so does the grounding they share ([Cq.join] per
+    candidate fact at ["lineage.dnf"], [Formula.absorb] per clause at
+    ["dnf.absorb"], [Lineage.of_query] per quantifier instance at
+    ["lineage.ground"]). Exhaustion of any resource raises the single
     exception {!Exhausted} carrying a {!trip} that says {e which} budget
     tripped and {e where} — the engine records it in the degradation chain
     and moves on to the next strategy.

@@ -39,21 +39,22 @@ val fact_of_var : ctx -> int -> string * Probdb_core.Tuple.t
 val prob : ctx -> int -> float
 (** Marginal probability of a lineage variable. *)
 
-val of_query : ctx -> Probdb_logic.Fo.t -> Probdb_boolean.Formula.t
+val of_query :
+  ?guard:Probdb_guard.Guard.t -> ctx -> Probdb_logic.Fo.t -> Probdb_boolean.Formula.t
 (** The inductive lineage construction of the Appendix: conjunction for ∀
     and ∧, disjunction for ∃ and ∨, negation for ¬, with quantifiers
-    expanded over the TID's domain. Works for arbitrary FO sentences. *)
+    expanded over the TID's domain. Works for arbitrary FO sentences.
+    [guard] (default {!Probdb_guard.Guard.unlimited}) is ticked once per
+    quantifier instance, at site ["lineage.ground"]. *)
 
-val of_cq : ctx -> Probdb_logic.Cq.t -> Probdb_boolean.Formula.t
-(** Lineage of a Boolean CQ (complemented atoms become negative literals
-    over the same fact variables). *)
-
-val of_ucq : ctx -> Probdb_logic.Ucq.t -> Probdb_boolean.Formula.t
-
-val dnf_of_ucq : ctx -> Probdb_logic.Ucq.t -> int list list
+val dnf_of_ucq :
+  ?guard:Probdb_guard.Guard.t -> ctx -> Probdb_logic.Ucq.t -> int list list
 (** The lineage of a positive UCQ directly as DNF clauses (sorted variable
     lists, absorption applied) — the input format of Karp–Luby sampling and
     of the multiplicity counts used by the lower bound of Theorem 6.1.
+    Valuations come from {!Probdb_logic.Cq.join} over the listed facts,
+    not from the domain. [guard] is ticked per candidate fact at
+    ["lineage.dnf"], then per absorbed clause at ["dnf.absorb"].
     Raises [Invalid_argument] if some atom is complemented. *)
 
 val multiplicities : int list list -> (int * int) list

@@ -12,13 +12,7 @@ let answers db ~free q =
       (Printf.sprintf "Brute_force.answers: undeclared free variables %s"
          (String.concat ", " remaining));
   let domain = Core.Tid.domain db in
-  let rec bindings = function
-    | [] -> [ [] ]
-    | _ :: rest ->
-        let tails = bindings rest in
-        List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) domain
-  in
-  bindings free
+  Core.Tuple.all (List.length free) domain
   |> List.filter_map (fun binding ->
          let env = List.combine free binding in
          let p =
@@ -29,14 +23,10 @@ let answers db ~free q =
 
 let complement_tid db arities =
   let domain = Core.Tid.domain db in
-  let rec tuples k =
-    if k = 0 then [ [] ]
-    else
-      let rest = tuples (k - 1) in
-      List.concat_map (fun v -> List.map (fun t -> v :: t) rest) domain
-  in
   let complement_relation name arity =
-    let rows = List.map (fun t -> (t, 1.0 -. Core.Tid.prob db name t)) (tuples arity) in
+    let rows =
+      List.map (fun t -> (t, 1.0 -. Core.Tid.prob db name t)) (Core.Tuple.all arity domain)
+    in
     Core.Relation.make (Core.Schema.of_arity name arity) rows
   in
   Core.Tid.make ~domain (List.map (fun (name, k) -> complement_relation name k) arities)

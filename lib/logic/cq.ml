@@ -164,6 +164,92 @@ let minimize q =
   in
   shrink q
 
+(* ---------- valuations over listed facts ---------- *)
+
+module Value = Probdb_core.Value
+module Tuple = Probdb_core.Tuple
+module Guard = Probdb_guard.Guard
+
+module Tuple_tbl = Hashtbl.Make (Tuple)
+
+(* Per relation: the positions of its facts in listing order, and by
+   tuple. *)
+type rel = { mutable rows : (Tuple.t * int) list; by_tuple : int Tuple_tbl.t }
+
+type facts = (string, rel) Hashtbl.t
+
+let index facts =
+  let index = Hashtbl.create 8 in
+  for i = Array.length facts - 1 downto 0 do
+    let rel, tuple = facts.(i) in
+    let r =
+      match Hashtbl.find_opt index rel with
+      | Some r -> r
+      | None ->
+          let r = { rows = []; by_tuple = Tuple_tbl.create 64 } in
+          Hashtbl.replace index rel r;
+          r
+    in
+    r.rows <- (tuple, i) :: r.rows;
+    Tuple_tbl.replace r.by_tuple tuple i
+  done;
+  index
+
+let find index rel tuple =
+  Option.bind (Hashtbl.find_opt index rel) (fun r -> Tuple_tbl.find_opt r.by_tuple tuple)
+
+let join ?(guard = Guard.unlimited) index q yield =
+  if List.exists (fun a -> a.comp) q then invalid_arg "Cq.join: complemented atom";
+  (* an atom over a relation with no listed facts matches nothing *)
+  if List.for_all (fun a -> Hashtbl.mem index a.rel) q then begin
+    let atoms = Array.of_list (List.map (fun a -> (a, Hashtbl.find index a.rel)) q) in
+    (* Which variables are bound depends only on which atoms matched
+       before, so the order is fixed up front: next the atom with the most
+       bound arguments, ties to the earliest. With all arguments bound an
+       atom costs one lookup, otherwise a scan of its relation. *)
+    let rec order bound = function
+      | [] -> []
+      | i :: _ as left ->
+          let known = function Fo.Var x -> List.mem x bound | Fo.Const _ -> true in
+          let rank j = List.length (List.filter known (fst atoms.(j)).args) in
+          let i = List.fold_left (fun b j -> if rank j > rank b then j else b) i left in
+          let a, _ = atoms.(i) in
+          (i, List.for_all known a.args)
+          :: order (atom_vars a @ bound) (List.filter (( <> ) i) left)
+    in
+    let chosen = Array.make (Array.length atoms) 0 in
+    let ticks = ref 0 in
+    let value env = function Fo.Const v -> v | Fo.Var x -> List.assoc x env in
+    let rec bind env args tuple =
+      match args, tuple with
+      | [], [] -> Some env
+      | Fo.Var x :: args, w :: tuple when not (List.mem_assoc x env) ->
+          bind ((x, w) :: env) args tuple
+      | t :: args, w :: tuple when Value.equal (value env t) w -> bind env args tuple
+      | _ -> None
+    in
+    let rec go env = function
+      | [] -> yield (Array.to_list chosen)
+      | (i, lookup) :: rest ->
+          let a, r = atoms.(i) in
+          let found env x =
+            chosen.(i) <- x;
+            go env rest
+          in
+          if lookup then begin
+            Guard.tick guard ~site:"lineage.dnf" ticks;
+            Option.iter (found env) (Tuple_tbl.find_opt r.by_tuple (List.map (value env) a.args))
+          end
+          else
+            List.iter
+              (fun (tuple, x) ->
+                Guard.tick guard ~site:"lineage.dnf" ticks;
+                Option.iter (fun env -> found env x) (bind env a.args tuple))
+              r.rows
+    in
+    go [] (order [] (List.init (Array.length atoms) Fun.id))
+  end
+
 let to_fo q =
   let body =
     Fo.conj

@@ -81,6 +81,29 @@ val minimize : t -> t
 (** The core of the query: a minimal equivalent subquery, computed by
     repeatedly retracting redundant atoms. *)
 
+(** {1 Valuations over listed facts} *)
+
+type facts
+(** Facts indexed by relation and by tuple. *)
+
+val index : (string * Probdb_core.Tuple.t) array -> facts
+(** Indexes an array of distinct [(relation, tuple)] facts; a fact is
+    known by its position in the array. *)
+
+val find : facts -> string -> Probdb_core.Tuple.t -> int option
+(** The position of a listed fact. *)
+
+val join : ?guard:Probdb_guard.Guard.t -> facts -> t -> (int list -> unit) -> unit
+(** [join facts q yield] calls [yield] once per valuation of [q]'s
+    variables that maps every atom onto a listed fact, with the matched
+    facts' positions in atom order (repeats kept). Variables are bound
+    from the facts, never from a domain: a backtracking search matches
+    next the atom with the most bound arguments, by one lookup when all
+    are bound and by a scan of its relation otherwise. [guard] (default
+    {!Probdb_guard.Guard.unlimited}) is ticked once per candidate fact
+    tried, at site ["lineage.dnf"]. Raises [Invalid_argument] on
+    complemented atoms. *)
+
 val to_fo : t -> Fo.t
 (** The sentence [∃ vars. /\ atoms], complemented atoms becoming negated
     atoms. *)

@@ -14,20 +14,11 @@ let vocabulary mln =
   List.concat_map (fun s -> Fo.relations s.delta) mln
   |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
 
-let rec assignments domain = function
-  | [] -> [ [] ]
-  | x :: rest ->
-      let tails = assignments domain rest in
-      List.concat_map (fun v -> List.map (fun tl -> (x, v) :: tl) tails) domain
-
 let groundings ~domain s =
   let free = Fo.free_vars s.delta in
-  assignments domain free
-  |> List.map (fun env ->
-         let ground =
-           List.fold_left (fun f (x, v) -> Fo.subst_const x v f) s.delta env
-         in
-         (s.weight, ground))
+  Core.Tuple.all (List.length free) domain
+  |> List.map (fun values ->
+         (s.weight, List.fold_left2 (fun f x v -> Fo.subst_const x v f) s.delta free values))
 
 let world_weight ~domain mln world =
   List.fold_left
@@ -39,15 +30,9 @@ let world_weight ~domain mln world =
 
 exception Too_large of int
 
-let rec all_tuples arity domain =
-  if arity = 0 then [ [] ]
-  else
-    let rest = all_tuples (arity - 1) domain in
-    List.concat_map (fun v -> List.map (fun t -> v :: t) rest) domain
-
 let possible_tuples ~domain vocab =
   List.concat_map
-    (fun (name, arity) -> List.map (fun t -> (name, t)) (all_tuples arity domain))
+    (fun (name, arity) -> List.map (fun t -> (name, t)) (Core.Tuple.all arity domain))
     vocab
 
 let fold_worlds ~domain vocab f init =
@@ -90,7 +75,7 @@ let fresh_aux_name vocab i =
   pick (Printf.sprintf "A%d" i)
 
 let complete_relation name arity domain prob =
-  let rows = List.map (fun t -> (t, prob)) (all_tuples arity domain) in
+  let rows = List.map (fun t -> (t, prob)) (Core.Tuple.all arity domain) in
   Core.Relation.make (Core.Schema.of_arity name arity) rows
 
 let translate ?(encoding = Iff_encoding) ~domain mln =

@@ -21,12 +21,6 @@ let make ?(lambda = 0.1) ~open_relations db =
 
 let lambda t = t.lambda
 
-let rec all_tuples arity domain =
-  if arity = 0 then [ [] ]
-  else
-    let rest = all_tuples (arity - 1) domain in
-    List.concat_map (fun v -> List.map (fun tl -> v :: tl) rest) domain
-
 let complete_relation db lambda name arity =
   let domain = Core.Tid.domain db in
   let listed =
@@ -37,7 +31,7 @@ let complete_relation db lambda name arity =
   let rows =
     List.map
       (fun t -> (t, if listed t then Core.Tid.prob db name t else lambda))
-      (all_tuples arity domain)
+      (Core.Tuple.all arity domain)
   in
   Core.Relation.make (Core.Schema.of_arity name arity) rows
 

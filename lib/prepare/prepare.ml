@@ -167,13 +167,14 @@ let key_of_query q =
 
 (* ---------- the structural artifact ---------- *)
 
-(* Everything here is a function of the template alone. The skip messages
-   mirror the engine's cold safe-plan attempt word for word, so a chain
-   produced through a cached artifact reads the same as a cold one. *)
+(* Everything here is a function of the template alone; the UCQ is kept
+   minimised, so the engine grounds its core. The skip messages mirror the
+   engine's cold safe-plan attempt word for word, so a chain produced
+   through a cached artifact reads the same as a cold one. *)
 let build ~key ~khash ~nparams template =
   let ucq =
     match Ucq.of_sentence template with
-    | r -> Ok r
+    | u, mode -> Ok (Ucq.minimize u, mode)
     | exception Ucq.Unsupported msg -> Error msg
   in
   let plan, plan_skip =
@@ -182,7 +183,7 @@ let build ~key ~khash ~nparams template =
     | Ok (_, Ucq.Complemented) ->
         (None, Some "universal sentence (plans handle positive CQs only)")
     | Ok (u, Ucq.Direct) -> (
-        match Ucq.minimize u with
+        match u with
         | [ cq ]
           when Cq.is_self_join_free cq
                && not (List.exists (fun (a : Cq.atom) -> a.Cq.comp) cq) -> (

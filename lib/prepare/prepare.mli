@@ -37,8 +37,9 @@ type artifact = private {
           parameter marker, in first-occurrence order *)
   nparams : int;  (** number of lifted constants *)
   ucq : (Probdb_logic.Ucq.t * Probdb_logic.Ucq.mode, string) result;
-      (** template UCQ reduction, or the [Ucq.Unsupported] message (with
-          parameter markers still inside — see {!bind_ucq}) *)
+      (** template UCQ reduction, minimised ({!Probdb_logic.Ucq.minimize}),
+          or the [Ucq.Unsupported] message (with parameter markers still
+          inside — see {!bind_ucq}) *)
   plan : Probdb_plans.Plan.t option;
       (** safe plan of the template when it is a single self-join-free
           hierarchical positive CQ *)

@@ -1,36 +1,26 @@
 module Core = Probdb_core
-module Fo = Probdb_logic.Fo
 module Cq = Probdb_logic.Cq
 
 module Make (K : Semiring.S) = struct
-  type annotation = string -> Core.Tuple.t -> K.t
+  type fact = string * Core.Tuple.t * K.t
 
-  let of_world world rel tuple = if Core.World.mem world rel tuple then K.one else K.zero
+  let of_world world =
+    List.map (fun (rel, tuple) -> (rel, tuple, K.one)) (Core.World.facts world)
 
-  let eval_cq ~domain ann cq =
-    List.iter
-      (fun (a : Cq.atom) ->
-        if a.Cq.comp then invalid_arg "Annotate.eval_cq: complemented atom")
-      cq;
-    let eval_arg env = function
-      | Fo.Const v -> v
-      | Fo.Var x -> List.assoc x env
+  (* Only the join's valuations are summed: any other valuation uses an
+     unlisted fact, whose [K.zero] annihilates its product. *)
+  let eval_ucq facts ucq =
+    let facts = Array.of_list facts in
+    let index = Cq.index (Array.map (fun (rel, tuple, _) -> (rel, tuple)) facts) in
+    let product ids =
+      List.fold_left (fun acc i -> let _, _, k = facts.(i) in K.times acc k) K.one ids
     in
-    let product env =
-      List.fold_left
-        (fun acc (a : Cq.atom) ->
-          K.times acc (ann a.Cq.rel (List.map (eval_arg env) a.Cq.args)))
-        K.one cq
-    in
-    let rec assign env = function
-      | [] -> product env
-      | x :: rest ->
-          List.fold_left
-            (fun acc v -> K.plus acc (assign ((x, v) :: env) rest))
-            K.zero domain
-    in
-    assign [] (Cq.vars cq)
+    List.fold_left
+      (fun acc cq ->
+        let sum = ref acc in
+        Cq.join index cq (fun ids -> sum := K.plus !sum (product ids));
+        !sum)
+      K.zero ucq
 
-  let eval_ucq ~domain ann ucq =
-    List.fold_left (fun acc cq -> K.plus acc (eval_cq ~domain ann cq)) K.zero ucq
+  let eval_cq facts cq = eval_ucq facts [ cq ]
 end

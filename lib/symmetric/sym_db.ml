@@ -29,19 +29,13 @@ let arity db name =
   let _, k, _ = find db name in
   k
 
-let rec all_tuples arity dom =
-  if arity = 0 then [ [] ]
-  else
-    let rest = all_tuples (arity - 1) dom in
-    List.concat_map (fun v -> List.map (fun t -> v :: t) rest) dom
-
 let to_tid db =
   let dom = domain db in
   let rels =
     List.map
       (fun (name, arity, p) ->
         Core.Relation.make (Core.Schema.of_arity name arity)
-          (List.map (fun t -> (t, p)) (all_tuples arity dom)))
+          (List.map (fun t -> (t, p)) (Core.Tuple.all arity dom)))
       db.rels
   in
   Core.Tid.make ~domain:dom rels

@@ -4,19 +4,13 @@ type rel_spec = { name : string; arity : int; density : float }
 
 let spec ?(density = 0.5) name arity = { name; arity; density }
 
-let rec all_tuples arity domain =
-  if arity = 0 then [ [] ]
-  else
-    let rest = all_tuples (arity - 1) domain in
-    List.concat_map (fun v -> List.map (fun t -> v :: t) rest) domain
-
 let random_tid ?(seed = 42) ?(prob_range = (0.05, 0.95)) ~domain_size specs =
   let rng = Random.State.make [| seed |] in
   let lo, hi = prob_range in
   let domain = List.init domain_size Core.Value.int in
   let make spec =
     let rows =
-      all_tuples spec.arity domain
+      Core.Tuple.all spec.arity domain
       |> List.filter_map (fun t ->
              if Random.State.float rng 1.0 < spec.density then
                Some (t, lo +. Random.State.float rng (hi -. lo))
@@ -29,7 +23,7 @@ let random_tid ?(seed = 42) ?(prob_range = (0.05, 0.95)) ~domain_size specs =
 let complete_tid ?(prob = 0.5) ~domain_size rels =
   let domain = List.init domain_size Core.Value.int in
   let make (name, arity) =
-    let rows = List.map (fun t -> (t, prob)) (all_tuples arity domain) in
+    let rows = List.map (fun t -> (t, prob)) (Core.Tuple.all arity domain) in
     Core.Relation.make (Core.Schema.of_arity name arity) rows
   in
   Core.Tid.make ~domain (List.map make rels)

@@ -39,6 +39,3 @@ val zipf_probs : ?s:float -> int -> float list
 
 val with_zipf_probs : ?seed:int -> ?s:float -> Probdb_core.Tid.t -> Probdb_core.Tid.t
 (** Reassigns tuple probabilities by a Zipf-skewed permutation. *)
-
-val all_tuples : int -> Probdb_core.Value.t list -> Probdb_core.Tuple.t list
-(** All tuples of the given arity over the domain, in lexicographic order. *)

@@ -140,10 +140,11 @@ let test_read_once_strategy () =
   Alcotest.(check string) "falls through to obdd" "obdd" (E.strategy_name r2.E.strategy);
   Alcotest.(check bool) "read-once skipped" true (List.mem_assoc E.Read_once r2.E.skipped)
 
-(* Read-once recognition runs under the evaluation's guard: a deadline
-   already past trips it at its first factorisation step, and q_j on the
-   domain-8 grounded-exact TID under a 500 ms deadline comes back within
-   the deadline plus the time it takes to ground the DNF. *)
+(* Read-once runs under the evaluation's guard: a deadline already past
+   trips it at the first poll, which on q_j over the domain-8
+   grounded-exact TID falls inside the DNF grounding, and under a 500 ms
+   deadline it comes back within the deadline plus the time it takes to
+   ground the DNF. *)
 let test_read_once_obeys_deadline () =
   let db =
     Gen.random_tid ~seed:3 ~domain_size:8
@@ -162,8 +163,8 @@ let test_read_once_obeys_deadline () =
   let stats = Probdb_obs.Stats.create () in
   ignore (E.eval ~config:(config 1e-9) ~stats db q);
   Alcotest.(check (list (triple string string string)))
-    "tripped at the factorisation site"
-    [ ("read-once", "tripped", "deadline 0.000s exhausted at read_once.factor") ]
+    "tripped while grounding the DNF"
+    [ ("read-once", "tripped", "deadline 0.000s exhausted at lineage.dnf") ]
     (List.map
        (fun (s, k, d) ->
          (s, k, (try String.sub d 0 (String.index d '(') |> String.trim with Not_found -> d)))
@@ -254,6 +255,31 @@ let prop_engine_matches_brute_force =
           Float.abs (E.value r.E.outcome -. truth) < 1e-9)
         Q.all)
 
+(* The DNF is grounded once per evaluation and shared. A trip inside it is
+   re-raised to every later strategy that forces it, and each records it
+   as a typed trip of its own — never as an untyped exception. *)
+let test_shared_dnf_trip_is_typed () =
+  let db = Gen.h0_db ~seed:5 ~n:20 () in
+  let config =
+    { E.default_config with
+      E.strategies = [ E.Read_once; E.Karp_luby ];
+      fault = Some (Probdb_guard.Guard.Trip_at_poll { poll = 1; resource = Probdb_guard.Guard.Fault });
+      degrade = None }
+  in
+  let stats = Probdb_obs.Stats.create () in
+  (match E.eval ~config ~stats db Q.h0.Q.query with
+  | Ok _ -> Alcotest.fail "expected the shared DNF to trip"
+  | Error _ -> ());
+  Alcotest.(check (list (pair string string)))
+    "both strategies tripped in the grounding"
+    [ ("read-once", "tripped"); ("karp-luby", "tripped") ]
+    (List.map (fun (s, k, _) -> (s, k)) stats.Probdb_obs.Stats.chain);
+  List.iter
+    (fun (_, _, detail) ->
+      Alcotest.(check bool) ("at lineage.dnf: " ^ detail) true
+        (contains detail "lineage.dnf"))
+    stats.Probdb_obs.Stats.chain
+
 let suites =
   [
     ( "engine",
@@ -269,6 +295,7 @@ let suites =
         Alcotest.test_case "symmetric strategy" `Quick test_symmetric_strategy;
         Alcotest.test_case "read-once strategy" `Quick test_read_once_strategy;
         Alcotest.test_case "read-once obeys the deadline" `Quick test_read_once_obeys_deadline;
+        Alcotest.test_case "shared DNF trip is typed" `Quick test_shared_dnf_trip_is_typed;
         Alcotest.test_case "strategy name table" `Quick test_strategy_names;
         Alcotest.test_case "non-Boolean answers" `Quick test_answers;
         Alcotest.test_case "expected answer count" `Quick test_expected_answer_count;

@@ -139,7 +139,9 @@ let ucq_of s =
   | ucq, Logic.Ucq.Direct -> ucq
   | _ -> Alcotest.failf "expected a direct UCQ: %s" s
 
-let test_of_cq_matches_of_query () =
+let formula_of_dnf clauses = F.disj (List.map (fun c -> F.conj (List.map F.var c)) clauses)
+
+let test_dnf_of_ucq_matches_of_query () =
   let db = small_tid () in
   let ctx = Lineage.create db in
   List.iter
@@ -147,9 +149,9 @@ let test_of_cq_matches_of_query () =
       let q = parse_s s in
       let ucq = ucq_of s in
       let f1 = Lineage.of_query ctx q in
-      let f2 = Lineage.of_ucq ctx ucq in
+      let f2 = formula_of_dnf (Lineage.dnf_of_ucq ctx ucq) in
       Test_util.check_float
-        (Printf.sprintf "of_ucq = of_query for %s" s)
+        (Printf.sprintf "dnf_of_ucq = of_query for %s" s)
         (lineage_prob ctx f1) (lineage_prob ctx f2))
     [
       "exists x y. R(x) && S(x,y)";
@@ -166,7 +168,7 @@ let test_dnf_lineage () =
   (* R has 2 tuples; S-tuples joining: R(1)S(1,1), R(1)S(1,2), R(2)S(2,2) *)
   Alcotest.(check int) "3 clauses" 3 (List.length clauses);
   (* DNF probability equals query probability *)
-  let f = F.disj (List.map (fun c -> F.conj (List.map F.var c)) clauses) in
+  let f = formula_of_dnf clauses in
   Test_util.check_float "dnf prob"
     (Logic.Brute_force.probability db (parse_s "exists x y. R(x) && S(x,y)"))
     (lineage_prob ctx f);
@@ -226,6 +228,74 @@ let prop_lineage_equals_brute_force =
           Float.abs (a -. b) < 1e-9)
         query_zoo)
 
+(* Property: the join's DNF is, bit for bit, the absorbed DNF of the naive
+   grounding that gives every variable every domain value — on random
+   positive UCQs with constants, repeated variables and self-joins, over
+   random TIDs where any relation may be empty. *)
+let naive_dnf ctx db ucq =
+  let clause cq values =
+    let env = List.combine (Logic.Cq.vars cq) values in
+    let arg = function Logic.Fo.Const v -> v | Logic.Fo.Var x -> List.assoc x env in
+    let fact (a : Logic.Cq.atom) = Lineage.var_of_fact ctx a.rel (List.map arg a.args) in
+    let ids = List.map fact cq in
+    if List.mem None ids then None
+    else Some (List.sort_uniq Int.compare (List.filter_map Fun.id ids))
+  in
+  let valuations cq = Core.Tuple.all (List.length (Logic.Cq.vars cq)) (Core.Tid.domain db) in
+  F.absorb (List.concat_map (fun cq -> List.filter_map (clause cq) (valuations cq)) ucq)
+
+let gen_ucq =
+  QCheck2.Gen.(
+    let term =
+      frequency
+        [ (4, map (fun i -> Logic.Fo.Var [| "x"; "y"; "z" |].(i)) (int_range 0 2));
+          (1, map (fun v -> Logic.Fo.Const (Core.Value.int v)) (int_range 0 2)) ]
+    in
+    let atom =
+      oneof
+        [ map (fun t -> Logic.Cq.atom "R" [ t ]) term;
+          map2 (fun t u -> Logic.Cq.atom "S" [ t; u ]) term term;
+          map (fun t -> Logic.Cq.atom "T" [ t ]) term ]
+    in
+    let cq = map Logic.Cq.make (list_size (int_range 1 3) atom) in
+    list_size (int_range 1 3) cq)
+
+let prop_dnf_equals_naive_grounding =
+  Test_util.qcheck ~count:300 "dnf_of_ucq = absorbed naive grounding (random UCQs)"
+    QCheck2.Gen.(pair gen_tid gen_ucq)
+    (fun (db, ucq) ->
+      let ctx = Lineage.create db in
+      Lineage.dnf_of_ucq ctx ucq = naive_dnf ctx db ucq)
+
+(* Fault injection at the grounding poll sites. H0 on a complete domain-20
+   TID has 400 valuations and 420 quantifier instances, and absorbing 400
+   clauses tests 400, each more than one poll interval of ticks, so the
+   first real poll happens inside the grounding step and the injected fault
+   names its site. *)
+let check_trips_at site ground =
+  let db = Probdb_workload.Gen.h0_db ~seed:5 ~n:20 () in
+  let guard =
+    Probdb_guard.Guard.create
+      ~fault:(Probdb_guard.Guard.Trip_at_poll { poll = 1; resource = Probdb_guard.Guard.Fault })
+      ()
+  in
+  match ground guard (Lineage.create db) with
+  | () -> Alcotest.failf "expected a trip at %s" site
+  | exception Probdb_guard.Guard.Exhausted trip ->
+      Alcotest.(check string) "site" site trip.Probdb_guard.Guard.site
+
+let test_dnf_trips_at_poll () =
+  check_trips_at "lineage.dnf" (fun guard ctx ->
+      ignore (Lineage.dnf_of_ucq ~guard ctx (ucq_of "exists x y. R(x) && S(x,y) && T(y)")))
+
+let test_of_query_trips_at_poll () =
+  check_trips_at "lineage.ground" (fun guard ctx ->
+      ignore (Lineage.of_query ~guard ctx (parse_s "exists x y. R(x) && S(x,y) && T(y)")))
+
+let test_absorb_trips_at_poll () =
+  check_trips_at "dnf.absorb" (fun guard _ ->
+      ignore (F.absorb ~guard (List.init 400 (fun i -> [ i ]))))
+
 let suites =
   [
     ( "lineage",
@@ -236,8 +306,13 @@ let suites =
         Alcotest.test_case "unlisted tuples are false" `Quick test_unlisted_tuples_are_false;
         Alcotest.test_case "fact/var roundtrip" `Quick test_fact_var_roundtrip;
         Alcotest.test_case "fact index and lazy pool" `Quick test_fact_index;
-        Alcotest.test_case "of_ucq matches of_query" `Quick test_of_cq_matches_of_query;
+        Alcotest.test_case "dnf_of_ucq matches of_query" `Quick test_dnf_of_ucq_matches_of_query;
         Alcotest.test_case "DNF lineage and multiplicities" `Quick test_dnf_lineage;
         prop_lineage_equals_brute_force;
+        prop_dnf_equals_naive_grounding;
+        Alcotest.test_case "DNF grounding trips at lineage.dnf" `Quick test_dnf_trips_at_poll;
+        Alcotest.test_case "FO grounding trips at lineage.ground" `Quick
+          test_of_query_trips_at_poll;
+        Alcotest.test_case "absorption trips at dnf.absorb" `Quick test_absorb_trips_at_poll;
       ] );
   ]

@@ -70,7 +70,7 @@ let test_bool_semiring_is_satisfaction () =
       let ucq, _ = L.Ucq.of_sentence q in
       Alcotest.(check bool) s
         (L.Semantics.holds ~domain:domain3 world q)
-        (B.eval_ucq ~domain:domain3 ann ucq))
+        (B.eval_ucq ann ucq))
     [
       "exists x y. R(x) && S(x,y)";
       "exists x. R(x) && S(x,x)";
@@ -83,24 +83,20 @@ let test_counting_semiring_counts_valuations () =
   let ann = C.of_world world in
   (* valuations satisfying R(x) ∧ S(x,y): (0,1), (1,1) *)
   Alcotest.(check int) "two derivations" 2
-    (C.eval_cq ~domain:domain3 ann (cq_of "exists x y. R(x) && S(x,y)"));
+    (C.eval_cq ann (cq_of "exists x y. R(x) && S(x,y)"));
   (* ∃x S(x,y) for each y... Boolean: count all sat valuations of S(x,y): 3 *)
   Alcotest.(check int) "three S-facts" 3
-    (C.eval_cq ~domain:domain3 ann (cq_of "exists x y. S(x,y)"))
+    (C.eval_cq ann (cq_of "exists x y. S(x,y)"))
 
 let test_tropical_semiring_cheapest () =
   let module T = A.Make (S.Tropical) in
   (* cost of using each fact; min-cost derivation of R(x)∧S(x,y) *)
-  let cost rel tuple =
-    match rel, tuple with
-    | "R", [ Core.Value.Int 0 ] -> 5.0
-    | "R", [ Core.Value.Int 1 ] -> 1.0
-    | "S", [ Core.Value.Int 0; Core.Value.Int 1 ] -> 1.0
-    | "S", [ Core.Value.Int 1; Core.Value.Int 1 ] -> 10.0
-    | _ -> S.Tropical.zero
+  let cost =
+    [ ("R", t [ 0 ], 5.0); ("R", t [ 1 ], 1.0); ("S", t [ 0; 1 ], 1.0);
+      ("S", t [ 1; 1 ], 10.0) ]
   in
   Test_util.check_float "cheapest derivation" 6.0
-    (T.eval_cq ~domain:domain3 cost (cq_of "exists x y. R(x) && S(x,y)"))
+    (T.eval_cq cost (cq_of "exists x y. R(x) && S(x,y)"))
   (* (R(0)=5) + (S(0,1)=1) = 6 beats (R(1)=1) + (S(1,1)=10) *)
 
 let test_formula_semiring_is_lineage () =
@@ -114,16 +110,22 @@ let test_formula_semiring_is_lineage () =
   in
   let ctx = Probdb_lineage.Lineage.create db in
   let module FS = A.Make (S.Formula) in
-  let ann rel tuple =
-    match Probdb_lineage.Lineage.var_of_fact ctx rel tuple with
-    | Some v -> F.var v
-    | None -> F.fls
+  let ann =
+    List.map
+      (fun (rel, tuple, _) ->
+        (rel, tuple, F.var (Option.get (Probdb_lineage.Lineage.var_of_fact ctx rel tuple))))
+      (Core.Tid.support db)
   in
   List.iter
     (fun s ->
       let ucq = ucq_of s in
-      let via_semiring = FS.eval_ucq ~domain:(Core.Tid.domain db) ann ucq in
-      let via_lineage = Probdb_lineage.Lineage.of_ucq ctx ucq in
+      let via_semiring = FS.eval_ucq ann ucq in
+      let via_lineage =
+        F.disj
+          (List.map
+             (fun c -> F.conj (List.map F.var c))
+             (Probdb_lineage.Lineage.dnf_of_ucq ctx ucq))
+      in
       (* may differ syntactically; compare by WMC *)
       Test_util.check_float s
         (Probdb_boolean.Brute_wmc.probability (Probdb_lineage.Lineage.prob ctx) via_lineage)
@@ -136,15 +138,11 @@ let test_formula_semiring_is_lineage () =
 let test_polynomial_provenance () =
   let module P = A.Make (S.Polynomial) in
   (* facts annotated with distinct indeterminates *)
-  let ann rel tuple =
-    match rel, tuple with
-    | "R", [ Core.Value.Int 0 ] -> S.Polynomial.var 0
-    | "R", [ Core.Value.Int 1 ] -> S.Polynomial.var 1
-    | "S", [ Core.Value.Int 0; Core.Value.Int 1 ] -> S.Polynomial.var 2
-    | "S", [ Core.Value.Int 1; Core.Value.Int 1 ] -> S.Polynomial.var 3
-    | _ -> S.Polynomial.zero
+  let ann =
+    [ ("R", t [ 0 ], S.Polynomial.var 0); ("R", t [ 1 ], S.Polynomial.var 1);
+      ("S", t [ 0; 1 ], S.Polynomial.var 2); ("S", t [ 1; 1 ], S.Polynomial.var 3) ]
   in
-  let p = P.eval_cq ~domain:domain3 ann (cq_of "exists x y. R(x) && S(x,y)") in
+  let p = P.eval_cq ann (cq_of "exists x y. R(x) && S(x,y)") in
   (* x0·x2 + x1·x3 *)
   Alcotest.(check int) "two monomials" 2 (List.length (S.Polynomial.monomials p));
   Alcotest.(check bool) "expected polynomial" true
@@ -152,7 +150,7 @@ let test_polynomial_provenance () =
   (* specialising to 1/0 recovers counting on the world *)
   Alcotest.(check int) "eval at indicator" 2 (S.Polynomial.eval (fun _ -> 1) p);
   (* self-join square: R(x) ∧ R(y) gives (x0+x1)^2 with multiplicities *)
-  let sq = P.eval_cq ~domain:domain3 ann (cq_of "exists x y. R(x) && R(y)") in
+  let sq = P.eval_cq ann (cq_of "exists x y. R(x) && R(y)") in
   Alcotest.(check bool) "square with multiplicities" true
     (S.Polynomial.equal sq
        (S.Polynomial.of_monomials [ ([ 0; 0 ], 1); ([ 0; 1 ], 2); ([ 1; 1 ], 1) ]))
@@ -185,7 +183,7 @@ let prop_bool_matches_semantics =
     QCheck2.Gen.(pair gen_cq gen_world)
     (fun (cq, w) ->
       let module B = A.Make (S.Bool) in
-      B.eval_cq ~domain:domain3 (B.of_world w) cq
+      B.eval_cq (B.of_world w) cq
       = L.Semantics.holds ~domain:domain3 w (L.Cq.to_fo cq))
 
 let suites =
