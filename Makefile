@@ -82,7 +82,10 @@ bench-smoke: build
 # for a 500 ms deadline. On gen-32 and gen-128 (ROADMAP's schema), q_w
 # under Karp–Luby, read-once, WMC and OBDD must each exit 0 (an answer) or
 # 7 (a typed trip) under `timeout` set to its deadline plus one second —
-# the grounding polls the guard, so none may run on past it.
+# the grounding polls the guard, so none may run on past it. The default
+# chain with degradation on gets twice its deadline plus one second: the
+# (ε,δ) fallback grounds its own DNF under a second deadline of the same
+# length.
 check-grounded: build
 	@timeout 300 dune exec --no-build test/main.exe -- test 'kc|lineage|boolean|golden' -c || \
 		{ echo "check-grounded: suites failed (exit $$?)"; exit 1; }; \
@@ -101,13 +104,15 @@ check-grounded: build
 		dune exec --no-build bin/probdb.exe -- gen --out "$$tmp/gen-$$n" --domain $$n --seed 3 \
 			R:1:0.9 S:2:0.4 T:1:0.6 S1:2:0.3 S2:2:0.5 S3:2:0.5 >/dev/null; \
 	done; \
-	for run in "32 3 karp-luby --deadline-ms 2000" "32 1.2 read-once --no-degrade --deadline-ms 200" \
-		"128 1.2 wmc --no-degrade --deadline-ms 200" "128 1.2 obdd --no-degrade --deadline-ms 200"; do \
+	for run in "32 3 --method karp-luby --deadline-ms 2000" \
+		"32 1.2 --method read-once --no-degrade --deadline-ms 200" \
+		"128 1.2 --method wmc --no-degrade --deadline-ms 200" \
+		"128 1.2 --method obdd --no-degrade --deadline-ms 200" "128 1.4 --deadline-ms 200"; do \
 		set -- $$run; n=$$1; limit=$$2; shift 2; \
 		timeout $$limit dune exec --no-build bin/probdb.exe -- eval --db "$$tmp/gen-$$n" \
-			--method "$$@" "$$qw" >/dev/null 2>&1; code=$$?; \
+			"$$@" "$$qw" >/dev/null 2>&1; code=$$?; \
 		[ $$code -eq 0 ] || [ $$code -eq 7 ] || \
-			{ echo "check-grounded: q_w via $$1 on gen-$$n exited $$code under timeout $$limit"; exit 1; }; \
+			{ echo "check-grounded: q_w with $$* on gen-$$n exited $$code under timeout $$limit"; exit 1; }; \
 	done; \
 	echo "check-grounded: suites + golden answers + q_j/q_w within their deadlines — OK"
 

@@ -797,6 +797,14 @@ let serve_run db_dir host port workers queue degrade_above deadline_ms
   (match (slow_query_log, slow_query_ms) with
   | Some _, None -> fail "--slow-query-log requires --slow-query-ms"
   | _ -> ());
+  (* GC pacing for a long-lived server (docs/PERF.md "Memory and GC
+     pacing"): 200 instead of OCaml's 120 lets the major heap grow further
+     past the live data before the major GC speeds up, which the measured
+     serve-point tail latency needed once the telemetry windows stopped
+     holding ~9.8 MB of preallocated cells. Set here, not in
+     [Serve.start], so in-process servers (tests, benches) keep the
+     caller's settings. *)
+  Gc.set { (Gc.get ()) with Gc.space_overhead = 200 };
   with_db db_dir @@ fun db ->
   let engine =
     let default_fallback_samples =

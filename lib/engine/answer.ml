@@ -18,6 +18,7 @@ type t = {
   exact : bool;
   strategy : string;
   degraded : bool;
+  under_load : bool;
   confidence : confidence option;
   chain : step list;
   stats : Stats.t;

@@ -34,6 +34,11 @@ type t = {
   degraded : bool;
       (** [true] iff exact inference was exhausted and [value] comes from
           the (ε,δ) fallback; implies [confidence <> None] *)
+  under_load : bool;
+      (** [true] iff the evaluation was forced to degrade
+          ([Engine.force_degrade]) and took it: every exact strategy was
+          skipped on the backpressure verdict and [value] comes from the
+          (ε,δ) fallback; implies [degraded] *)
   confidence : confidence option;
   chain : step list;  (** strategies tried before [strategy], in order *)
   stats : Probdb_obs.Stats.t;

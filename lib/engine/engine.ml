@@ -85,8 +85,9 @@ let default_config =
     plan_cache = None }
 
 (* The serving-time backpressure config: skip every exact strategy and go
-   straight to the (ε,δ) Karp–Luby fallback, keeping whatever degrade
-   accuracy targets the base config carries (installing the defaults when
+   straight to the (ε,δ) Karp–Luby fallback when the key's cost record
+   says that is cheaper (see [eval]), keeping whatever degrade accuracy
+   targets the base config carries (installing the defaults when
    degradation was off). The strategy list is kept so the degradation
    chain can record each skipped strategy — a degraded answer must say
    why it degraded. Used by [probdb serve] when the request queue passes
@@ -244,6 +245,8 @@ let try_symmetric guard db q =
    probabilities, read-once-ness, guard trips) run here at execute time —
    only structure is prepared. *)
 
+let monotone ucq = not (List.exists (List.exists (fun (a : Cq.atom) -> a.Cq.comp)) ucq)
+
 (* The monotone DNF lineage that read-once factorisation and Karp–Luby
    work on, with the mode that maps its probability back to the query's;
    [Error] says why the query has none. *)
@@ -251,11 +254,21 @@ let dnf_lineage ~guard prepared ctx =
   match Prepare.bind_ucq prepared with
   | Error msg -> Error ("fragment: " ^ msg)
   | Ok (ucq, mode) -> (
-      if List.exists (List.exists (fun (a : Cq.atom) -> a.Cq.comp)) ucq then
+      if not (monotone ucq) then
         Error "complemented atoms (lineage is not a monotone DNF)"
       else
         let ctx = Lazy.force ctx in
         Ok (ctx, Lineage.dnf_of_ucq ~guard ctx ucq, mode))
+
+(* Whether the (ε,δ) fallback can sample the query at all: a monotone DNF
+   lineage over standard probabilities. Binding constants never adds or
+   removes a complemented atom, so the template UCQ answers the first
+   half. *)
+let samplable prepared db =
+  (match prepared.Prepare.artifact.Prepare.ucq with
+  | Ok (ucq, _) -> monotone ucq
+  | Error _ -> false)
+  && Core.Tid.is_standard db
 
 (* What the grounded strategies share within one evaluation: one fact
    index, the monotone DNF (read-once, Karp–Luby and the fallback) and the
@@ -430,16 +443,23 @@ let promote_safe_plan prepared strategies =
 
 (* ---------- guaranteed-completion evaluation ---------- *)
 
+(* The shortest deadline the fallback's grounding gets: a request whose
+   queue wait used up its deadline still grounds a small lineage for its
+   degraded answer instead of tripping at the first poll. *)
+let min_fallback_deadline_s = 0.1
+
 (* The (ε,δ) fallback: Karp–Luby on the monotone DNF lineage, with the
    sample count from the classical FPRAS bound capped at [max_samples].
-   It grounds under a child of the evaluation's guard, which cancellation
-   reaches but the deadline does not: a degraded answer completes rather
-   than drops. Returns [None] when cancelled or when the query has no
-   monotone DNF lineage to sample (complemented atoms, non-standard
-   probabilities, outside the UCQ fragment). The fallback is the last
-   consumer of the grounding: it reuses a DNF an exact strategy already
-   built, and otherwise grounds one of its own. Forcing the shared one
-   would keep the fact index and the clauses reachable, so promoted,
+   It grounds under a child of the evaluation's guard: cancellation and
+   the fault hook reach it, and with a deadline configured it gets one of
+   the same length (at least [min_fallback_deadline_s]) counted from its
+   own start, so a lineage too large to ground in that time raises
+   [Guard.Exhausted] instead of running on. Returns [None] when the query
+   has no monotone DNF lineage to sample (complemented atoms,
+   non-standard probabilities, outside the UCQ fragment). The fallback is
+   the last consumer of the grounding: it reuses a DNF an exact strategy
+   already built, and otherwise grounds one of its own. Forcing the shared
+   one would keep the fact index and the clauses reachable, so promoted,
    through every sample; under load, where every request takes this path,
    that raised overload-window's peak RSS by 4–6 MiB. *)
 let kl_fallback prepared config guard pool grounded ~eps ~delta ~max_samples db =
@@ -448,8 +468,11 @@ let kl_fallback prepared config guard pool grounded ~eps ~delta ~max_samples db 
     let dnf =
       if Lazy.is_val grounded.dnf then Lazy.force grounded.dnf
       else
-        try dnf_lineage ~guard:(Guard.create ~parent:guard ()) prepared (lazy (Lineage.create db))
-        with Guard.Exhausted trip -> Error (Guard.describe trip)
+        let deadline_s = Option.map (Float.max min_fallback_deadline_s) config.deadline_s in
+        dnf_lineage
+          ~guard:(Guard.create ~parent:guard ?deadline_s ?fault:config.fault ())
+          prepared
+          (lazy (Lineage.create db))
     in
     match dnf with
     | Error _ -> None
@@ -482,6 +505,14 @@ let eval ?(config = default_config) ?stats ?prepared db q =
   let guard = guard_of_config config in
   let pool = pool_of_config config in
   let prepared = acquire_prepared config stats prepared q in
+  let artifact = prepared.Prepare.artifact in
+  (* The backpressure verdict (docs/SERVING.md "Overload semantics"): a
+     forced evaluation skips exact inference only when its key's recorded
+     chain cost is at least its fallback cost, and only when there is a
+     fallback to go to. Otherwise it runs the normal chain. *)
+  let under_load =
+    config.force_degraded && Prepare.degrade_under_load artifact && samplable prepared db
+  in
   let grounded = grounding guard prepared db q in
   (* With degradation on, Karp–Luby is reserved for the fallback so that
      [degraded = true] means exactly "no exact strategy completed". *)
@@ -510,6 +541,7 @@ let eval ?(config = default_config) ?stats ?prepared db q =
         exact = std_error = None;
         strategy = strategy_name s;
         degraded = confidence <> None;
+        under_load;
         confidence;
         chain;
         stats }
@@ -530,6 +562,10 @@ let eval ?(config = default_config) ?stats ?prepared db q =
           (Error.No_method
              (List.map (fun s -> (Answer.step_strategy s, Answer.step_detail s)) chain))
   in
+  (* Every answer updates its key's running costs: the chain's from its
+     first strategy, the fallback's from its own start. *)
+  let started = Clock.now () in
+  let record_chain () = Prepare.record_cost artifact Prepare.Chain (Clock.now () -. started) in
   let degrade_or_fail chain =
     match config.degrade with
     | None -> fail chain
@@ -538,13 +574,21 @@ let eval ?(config = default_config) ?stats ?prepared db q =
           Clock.time (fun () ->
               Stats.with_gc stats (fun () ->
                   Trace.with_span ~cat:"strategy" "karp-luby.fallback" (fun () ->
-                      kl_fallback prepared config guard pool grounded ~eps ~delta
-                        ~max_samples db)))
+                      match
+                        kl_fallback prepared config guard pool grounded ~eps ~delta
+                          ~max_samples db
+                      with
+                      | r -> Ok r
+                      | exception Guard.Exhausted trip -> Error trip)))
         in
         Stats.record_phase stats Stats.Solve dt;
         match result with
-        | None -> fail chain
-        | Some (value, std_error, confidence) ->
+        | Error trip ->
+            fail (chain @ [ Answer.step_of_trip ~strategy:(strategy_name Karp_luby) trip ])
+        | Ok None -> fail chain
+        | Ok (Some (value, std_error, confidence)) ->
+            Prepare.record_cost artifact Prepare.Fallback dt;
+            if not under_load then record_chain ();
             stats.Stats.degraded <- true;
             stats.Stats.ci_low <- Some confidence.Answer.ci_low;
             stats.Stats.ci_high <- Some confidence.Answer.ci_high;
@@ -555,7 +599,7 @@ let eval ?(config = default_config) ?stats ?prepared db q =
   in
   let rec go chain = function
     | [] -> degrade_or_fail (List.rev chain)
-    | s :: rest when config.force_degraded ->
+    | s :: rest when under_load ->
         (* backpressure degradation: no exact strategy runs, but each one
            is recorded as skipped so the degradation chain says why the
            answer is an (ε,δ) interval *)
@@ -576,6 +620,7 @@ let eval ?(config = default_config) ?stats ?prepared db q =
         match result with
         | Ok_outcome outcome ->
             Stats.record_phase stats Stats.Solve dt;
+            record_chain ();
             let std_error =
               match outcome with
               | Exact _ -> None

@@ -93,10 +93,13 @@ type config = {
           removed from the main strategy loop. [None]: {!eval} fails
           instead. {!evaluate} always runs with [None]. *)
   force_degraded : bool;
-      (** when set (by {!force_degrade}), {!eval} skips every exact
+      (** when set (by {!force_degrade}), {!eval} may skip every exact
           strategy — recording each as a skipped step in the degradation
-          chain — and answers directly with the (ε,δ) fallback.
-          {!evaluate} always runs with it unset. *)
+          chain — and answer directly with the (ε,δ) fallback. It does so
+          when the query has a fallback and its prepared key's cost record
+          does not show the chain cheaper than the fallback
+          ({!Probdb_prepare.Prepare.degrade_under_load}); otherwise it runs
+          the normal chain. {!evaluate} always runs with it unset. *)
   domains : int;
       (** OCaml domains for the parallel runtime ([probdb.par]). At [1]
           (the default) no pool is created and every strategy runs its
@@ -145,8 +148,13 @@ val force_degrade : config -> config
     bounded by [degrade.max_samples], which is what an overloaded server
     wants instead of queueing exact work. Keeps the base config's [degrade]
     targets, installing {!default_config}'s when degradation was off.
-    Queries with no monotone DNF lineage to sample still come back as
-    [Error (No_method _)]. *)
+
+    Only where sampling is cheaper: a query whose prepared key has
+    recorded a chain cost below its fallback cost runs the normal chain,
+    and so does a query with no monotone DNF lineage to sample (e.g. a
+    universal sentence). A key with either cost unrecorded degrades, so
+    through a capacity-0 cache every samplable query does. The answer's
+    [under_load] says which happened. *)
 
 type outcome =
   | Exact of float
@@ -207,9 +215,12 @@ val eval :
       decisions — are recorded the same way);
     - when every exact strategy is skipped or tripped and [config.degrade]
       is [Some _], the engine degrades to the Karp–Luby
-      (ε,δ)-approximation (unguarded but sample-capped, so it always
-      terminates) and returns a [degraded] answer with its confidence
-      interval;
+      (ε,δ)-approximation and returns a [degraded] answer with its
+      confidence interval. Its sampling is capped by [max_samples]; its
+      grounding, when no exact strategy built the DNF already, gets the
+      config's deadline again (at least 0.1 s), counted from the
+      fallback's start, and a trip there is one more [Tripped] step
+      (strategy ["karp-luby"]);
     - instead of raising, failures come back as
       [Error (Exhausted _)] (some strategy tripped a resource and no
       fallback applied) or [Error (No_method _)] (nothing was applicable).

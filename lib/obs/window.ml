@@ -81,13 +81,21 @@ type histogram = {
   h_created_s : float;
 }
 
+(* Every slot of a fresh ring points at this one empty cell. A slot's
+   epoch starts at [min_int], which no write matches, so [observe]
+   replaces the sentinel with a cell of its own before the first add and
+   the sentinel is never written; [snapshot] never reads it either, since
+   no horizon reaches [min_int]. A ring therefore holds only the dense
+   cells of the seconds it has seen, not 300 of them up front. *)
+let empty_cell = Histogram.create ()
+
 let histogram ?(buckets = default_buckets) ?(bucket_s = default_bucket_s) () =
   if buckets < 1 then invalid_arg "Window.histogram: buckets must be >= 1";
   if not (bucket_s > 0.0) then
     invalid_arg "Window.histogram: bucket_s must be > 0";
   { h_bucket_s = bucket_s;
     h_epochs = Array.make buckets min_int;
-    h_cells = Array.init buckets (fun _ -> Histogram.create ());
+    h_cells = Array.make buckets empty_cell;
     h_lock = Mutex.create ();
     h_created_s = Clock.now () }
 

@@ -33,7 +33,9 @@ type histogram
 (** A windowed histogram of float observations. *)
 
 val histogram : ?buckets:int -> ?bucket_s:float -> unit -> histogram
-(** Same ring parameters as {!counter}.
+(** Same ring parameters as {!counter}. A bucket gets its ~2048-slot
+    {!Histogram.t} on its first observation, so a fresh window holds no
+    cells and a full ring holds [buckets] of them.
     @raise Invalid_argument if [buckets < 1] or [bucket_s <= 0]. *)
 
 val observe : histogram -> float -> unit

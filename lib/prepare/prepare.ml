@@ -10,6 +10,11 @@ module Clock = Probdb_obs.Clock
 module Trace = Probdb_obs.Trace
 module Metrics = Probdb_obs.Metrics
 
+(* Running costs of one key in nanoseconds, [-1] until first recorded. *)
+type cost = { chain_ns : int Atomic.t; fallback_ns : int Atomic.t }
+
+type cost_kind = Chain | Fallback
+
 type artifact = {
   key : string;
   khash : int;
@@ -19,6 +24,7 @@ type artifact = {
   plan : Plan.t option;
   plan_skip : string option;
   verdict : Lift.verdict;
+  cost : cost;
 }
 
 type bound = { artifact : artifact; binding : Value.t array }
@@ -198,12 +204,27 @@ let build ~key ~khash ~nparams template =
     | v -> v
     | exception _ -> Lift.Unsupported "classification failed"
   in
-  { key; khash; template; nparams; ucq; plan; plan_skip; verdict }
+  let cost = { chain_ns = Atomic.make (-1); fallback_ns = Atomic.make (-1) } in
+  { key; khash; template; nparams; ucq; plan; plan_skip; verdict; cost }
 
 let prepare q =
   let key, khash, template, consts = analyse q in
   { artifact = build ~key ~khash ~nparams:(Array.length consts) template;
     binding = consts }
+
+(* ---------- the backpressure cost record ---------- *)
+
+(* An exponentially weighted mean, 1/4 on the newest duration. Two domains
+   recording at once may lose one duration, which only delays the mean. *)
+let record_cost a kind dt_s =
+  let cell = match kind with Chain -> a.cost.chain_ns | Fallback -> a.cost.fallback_ns in
+  let ns = max 0 (int_of_float (dt_s *. 1e9)) in
+  let old = Atomic.get cell in
+  Atomic.set cell (if old < 0 then ns else old + ((ns - old) / 4))
+
+let degrade_under_load a =
+  let chain = Atomic.get a.cost.chain_ns and fallback = Atomic.get a.cost.fallback_ns in
+  chain < 0 || fallback < 0 || chain >= fallback
 
 (* ---------- binding (execute-time substitution) ---------- *)
 

@@ -25,7 +25,26 @@
     so a cached artifact can never change which answer a database gets —
     cold execution and warm execution run the identical code path over the
     identical artifact, and a disabled cache (capacity 0) is simply one
-    that always misses. *)
+    that always misses.
+
+    One exception: requests a server degrades under load. Each artifact
+    also keeps a running cost of its key's evaluations ({!record_cost}),
+    and past the degrade watermark the engine skips exact inference only
+    for keys whose recorded exact cost is at least their recorded sampling
+    cost ({!degrade_under_load}). So under load a warm key may get its
+    exact answer where a cold one gets the (ε,δ) approximation. Without
+    load, and with a capacity-0 cache, the record changes nothing. *)
+
+type cost
+(** The running costs of one key: the normal strategy chain and the
+    (ε,δ) fallback, each unrecorded until its first measurement. *)
+
+type cost_kind =
+  | Chain
+      (** the strategy chain, from its first strategy to an answer; a
+          chain whose exact strategies all failed counts their elapsed
+          time plus the fallback that answered *)
+  | Fallback  (** the (ε,δ) Karp–Luby fallback alone, grounding included *)
 
 type artifact = private {
   key : string;
@@ -49,6 +68,9 @@ type artifact = private {
       (** lifted-rules safety classification of the template; informational
           (surfaced by [probdb prepare]) — execution never gates the
           lifted attempt on it *)
+  cost : cost;
+      (** the key's running evaluation costs — the one mutable part of an
+          artifact, shared by every query that resolves to it *)
 }
 
 type bound = {
@@ -66,6 +88,19 @@ val key_of_query : Probdb_logic.Fo.t -> string * Probdb_core.Value.t array
 val prepare : Probdb_logic.Fo.t -> bound
 (** Uncached prepare: lift constants, build the full artifact. This is
     what a cache miss runs. *)
+
+val record_cost : artifact -> cost_kind -> float -> unit
+(** [record_cost a kind dt] folds one measured duration (seconds) into the
+    running cost: an exponentially weighted mean with weight 1/4 on [dt],
+    or [dt] itself as the first record. Safe from many domains; two
+    concurrent records may lose one of them. The engine calls this after
+    every evaluation that answers. *)
+
+val degrade_under_load : artifact -> bool
+(** The backpressure verdict: [false] when both costs are recorded and
+    the chain's is below the fallback's, so skipping exact inference would
+    not make the request cheaper; [true] otherwise — including a key with
+    either cost unrecorded, which degrades as if there were no record. *)
 
 val bind_plan : bound -> Probdb_plans.Plan.t option
 (** The template plan with the markers substituted by the bound constants

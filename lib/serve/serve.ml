@@ -82,7 +82,8 @@ type conn = {
 
 (* An admitted eval request, queued for the worker service. [j_enqueued_s]
    anchors the queue-wait measurement the admission deadline charges;
-   [j_degrade_load] is the backpressure verdict, decided at admission.
+   [j_degrade_load] says the request was admitted past the degrade
+   watermark (the engine's per-key verdict decides what that does).
    [j_done] is the reply token: the worker's answer and the watchdog's
    doom path race for it, and only the CAS winner sends — one response
    per request, however the race resolves. *)
@@ -328,10 +329,9 @@ let config_of_request t ~(remaining_s : float option)
                 Option.value r.Protocol.samples ~default:d.E.max_samples }
   in
   let config = { base with E.deadline_s = remaining_s; degrade } in
-  (* [no_degrade] requests are exempt from backpressure degradation
-     (admission never marks them, but guard here too: [force_degrade]
-     would reinstall the default accuracy targets over [degrade = None]
-     and silently break the exactness contract) *)
+  (* [no_degrade] requests are exempt from backpressure degradation:
+     [force_degrade] would reinstall the default accuracy targets over
+     [degrade = None] and silently break the exactness contract *)
   if degrade_load && not r.Protocol.no_degrade then E.force_degrade config
   else config
 
@@ -357,14 +357,14 @@ let chain_json steps =
            ])
        steps)
 
-let answer_json ~want_stats ~degraded_load (a : Answer.t) =
+let answer_json ~want_stats (a : Answer.t) =
   Json.Obj
     ([
        ("value", Json.Float a.Answer.value);
        ("exact", Json.Bool a.Answer.exact);
        ("strategy", Json.Str a.Answer.strategy);
        ("degraded", Json.Bool a.Answer.degraded);
-       ("degraded_under_load", Json.Bool degraded_load);
+       ("degraded_under_load", Json.Bool a.Answer.under_load);
      ]
     @ (match a.Answer.confidence with
       | Some c -> [ ("confidence", confidence_json c) ]
@@ -421,14 +421,15 @@ let request_engine_config ?(degrade_load = false) t (r : Protocol.eval_request) 
   let remaining_s = remaining_deadline t r ~queue_wait_s:0.0 in
   config_of_request t ~remaining_s r ~degrade_load
 
-let eval_result_json t job ~config ~degraded_load ~stats ?prepared q =
+(* The result document and whether the forced fallback answered it — the
+   one place the worker learns a request was degraded under load. *)
+let eval_result_json t job ~config ~stats ?prepared q =
   let r = job.j_req in
   match r.Protocol.free with
   | [] -> (
       match E.eval ~config ~stats ?prepared t.db q with
       | Ok a ->
-          Ok
-            (answer_json ~want_stats:r.Protocol.want_stats ~degraded_load a)
+          Ok (answer_json ~want_stats:r.Protocol.want_stats a, a.Answer.under_load)
       | Error e -> Error (Protocol.Engine e))
   | free -> (
       match E.answers ~config ~free t.db q with
@@ -450,7 +451,8 @@ let eval_result_json t job ~config ~degraded_load ~stats ?prepared q =
                               ("answer", report_json rep);
                             ])
                         answers) );
-               ])
+               ],
+              false )
       | exception exn -> Error (typed_error exn))
 
 (* One slow-query NDJSON record: everything needed to replay and explain
@@ -509,6 +511,10 @@ let slow_record job ~latency_s ~queue_wait_s ~(stats : Stats.t) ~verdict =
    must not double-count its late result. *)
 let record_outcome t job ~stats ~degraded_load ~queue_wait_s ~verdict ~ok =
   let latency_s = Clock.now () -. job.j_enqueued_s in
+  if degraded_load then begin
+    Atomic.incr t.c_degraded_load;
+    Metrics.incr m_degraded_load
+  end;
   (match t.windows with
   | None -> ()
   | Some w ->
@@ -542,41 +548,29 @@ let run_job t job =
   | Some w -> Window.observe w.w_queue_wait queue_wait_s
   | None -> ());
   Metrics.set m_queue_depth (float_of_int (Par.Service.depth t.service));
-  let attempt ~degrade_load =
-    let stats = Stats.create () in
-    stats.Stats.query <- Some r.Protocol.query;
-    stats.Stats.request_id <- job.j_rid;
-    let result =
-      try
-        let remaining_s = remaining_deadline t r ~queue_wait_s in
-        let config = config_of_request t ~remaining_s r ~degrade_load in
-        (* the shared text index skips the parser on repeated request texts
-           and hands back the prepared binding in the same lookup, so warm
-           requests go straight to execution *)
-        match
-          Prepare.Cache.resolve_text ~stats t.plan_cache ~free:r.Protocol.free
-            r.Protocol.query
-        with
-        | exception L.Parser.Error msg ->
-            Error (Protocol.Engine (Err.Parse { message = msg }))
-        | q, prepared ->
-            eval_result_json t job ~config ~degraded_load:degrade_load ~stats
-              ?prepared q
-      with exn -> Error (typed_error exn)
-    in
-    (result, stats, degrade_load)
-  in
-  let result, stats, degraded_load =
-    match attempt ~degrade_load:job.j_degrade_load with
-    | Error (Protocol.Engine (Err.No_method _)), _, _ when job.j_degrade_load ->
-        (* degradation under load is best-effort: a query with no monotone
-           DNF lineage has no (ε,δ) fallback to degrade to, so it gets its
-           normal exact evaluation instead of a spurious no-method error *)
-        attempt ~degrade_load:false
-    | r -> r
+  let stats = Stats.create () in
+  stats.Stats.query <- Some r.Protocol.query;
+  stats.Stats.request_id <- job.j_rid;
+  let result =
+    try
+      let remaining_s = remaining_deadline t r ~queue_wait_s in
+      let config =
+        config_of_request t ~remaining_s r ~degrade_load:job.j_degrade_load
+      in
+      (* the shared text index skips the parser on repeated request texts
+         and hands back the prepared binding in the same lookup, so warm
+         requests go straight to execution *)
+      match
+        Prepare.Cache.resolve_text ~stats t.plan_cache ~free:r.Protocol.free
+          r.Protocol.query
+      with
+      | exception L.Parser.Error msg ->
+          Error (Protocol.Engine (Err.Parse { message = msg }))
+      | q, prepared -> eval_result_json t job ~config ~stats ?prepared q
+    with exn -> Error (typed_error exn)
   in
   match result with
-  | Ok doc ->
+  | Ok (doc, degraded_load) ->
       if reply t job (Protocol.response_ok ?request_id:job.j_rid ~id:job.j_id doc)
       then begin
         Atomic.incr t.c_eval_ok;
@@ -589,7 +583,7 @@ let run_job t job =
           (Protocol.response_error ?request_id:job.j_rid ~id:job.j_id err)
       then begin
         Atomic.incr t.c_eval_error;
-        record_outcome t job ~stats ~degraded_load ~queue_wait_s
+        record_outcome t job ~stats ~degraded_load:false ~queue_wait_s
           ~verdict:(Protocol.error_class err) ~ok:false
       end
 
@@ -838,16 +832,12 @@ let capture_trace t ~ms =
 (* ---------- admission control ---------- *)
 
 let submit_eval t conn ~id (r : Protocol.eval_request) =
-  (* Backpressure verdict at admission: past the watermark the request is
-     still served, but with [force_degrade] — a bounded-cost certified
-     (ε,δ) answer instead of queued exact work. A request that demanded
-     exactness with [no_degrade] is exempt (docs/SERVING.md): it keeps
-     its exact evaluation and is not counted as degraded-under-load. *)
-  let depth_now = Par.Service.depth t.service in
+  (* Past the watermark the request is served with [force_degrade]: the
+     engine answers it with the bounded-cost certified (ε,δ) fallback
+     where its key's cost record says that is cheaper than exact work
+     (docs/SERVING.md "Overload semantics"). *)
   let degrade_load =
-    t.cfg.degrade_above > 0
-    && depth_now >= t.cfg.degrade_above
-    && not r.Protocol.no_degrade
+    t.cfg.degrade_above > 0 && Par.Service.depth t.service >= t.cfg.degrade_above
   in
   (* Correlation id: honour the client's, mint one otherwise. Telemetry
      off ([--no-telemetry], the overhead-bench baseline) skips minting but
@@ -873,12 +863,7 @@ let submit_eval t conn ~id (r : Protocol.eval_request) =
   | Some rid -> Trace.instant ~cat:"request" ("req:" ^ rid ^ ":admitted")
   | None -> ());
   match Par.Service.try_submit t.service job with
-  | `Accepted depth ->
-      Metrics.set m_queue_depth (float_of_int depth);
-      if degrade_load then begin
-        Atomic.incr t.c_degraded_load;
-        Metrics.incr m_degraded_load
-      end
+  | `Accepted depth -> Metrics.set m_queue_depth (float_of_int depth)
   | `Overloaded ->
       Atomic.incr t.c_shed;
       Metrics.incr m_shed;

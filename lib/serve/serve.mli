@@ -16,7 +16,8 @@
     - overload degrades before it sheds: past the [degrade_above]
       watermark admitted requests are evaluated with
       {!Probdb_engine.Engine.force_degrade} (certified (ε,δ) Karp–Luby
-      answers), and when the queue is full the request is refused with a
+      answers for the keys whose recorded exact cost is not below their
+      sampling cost), and when the queue is full the request is refused with a
       typed [overloaded] error — the server never queues unboundedly;
     - every request runs under a {!Probdb_guard.Guard} deadline whose
       budget {e includes the time spent queued} (admission control), and
@@ -31,8 +32,8 @@ type config = {
       (** bound of the request queue; a full queue sheds ([overloaded]) *)
   degrade_above : int;
       (** queue-depth watermark above which admitted requests are
-          force-degraded to the (ε,δ) approximation; [<= 0] never degrades
-          under load *)
+          force-degraded to the (ε,δ) approximation where that is cheaper
+          than exact inference; [<= 0] never degrades under load *)
   default_deadline_ms : int option;
       (** per-request deadline applied when the request carries none *)
   worker_stall_deadline_ms : int;

@@ -280,6 +280,33 @@ let test_shared_dnf_trip_is_typed () =
         (contains detail "lineage.dnf"))
     stats.Probdb_obs.Stats.chain
 
+(* The (ε,δ) fallback grounds its own DNF when no exact strategy built one,
+   under a child guard that inherits the evaluation's deadline and fault
+   hook. Safe-plan declines h0 without polling, so the injected deadline
+   trip can only come from the fallback's grounding: it must surface as a
+   typed karp-luby step and an Exhausted error, never as a hang. *)
+let test_fallback_grounding_trip_is_typed () =
+  let db = Gen.h0_db ~seed:5 ~n:20 () in
+  let config =
+    { E.default_config with
+      E.strategies = [ E.Safe_plan ];
+      fault =
+        Some
+          (Probdb_guard.Guard.Trip_at_poll
+             { poll = 1; resource = Probdb_guard.Guard.Deadline }) }
+  in
+  let stats = Probdb_obs.Stats.create () in
+  (match E.eval ~config ~stats db Q.h0.Q.query with
+  | Error (Core.Probdb_error.Exhausted { resource; site; _ }) ->
+      Alcotest.(check string) "resource" "deadline" resource;
+      Alcotest.(check string) "site" "lineage.dnf" site
+  | Error e -> Alcotest.failf "expected Exhausted, got %s" (Core.Probdb_error.render e)
+  | Ok _ -> Alcotest.fail "expected the fallback's grounding to trip");
+  Alcotest.(check (list (pair string string)))
+    "the fallback's trip is the chain's last step"
+    [ ("safe-plan", "skipped"); ("karp-luby", "tripped") ]
+    (List.map (fun (s, k, _) -> (s, k)) stats.Probdb_obs.Stats.chain)
+
 let suites =
   [
     ( "engine",
@@ -296,6 +323,8 @@ let suites =
         Alcotest.test_case "read-once strategy" `Quick test_read_once_strategy;
         Alcotest.test_case "read-once obeys the deadline" `Quick test_read_once_obeys_deadline;
         Alcotest.test_case "shared DNF trip is typed" `Quick test_shared_dnf_trip_is_typed;
+        Alcotest.test_case "fallback grounding trip is typed" `Quick
+          test_fallback_grounding_trip_is_typed;
         Alcotest.test_case "strategy name table" `Quick test_strategy_names;
         Alcotest.test_case "non-Boolean answers" `Quick test_answers;
         Alcotest.test_case "expected answer count" `Quick test_expected_answer_count;

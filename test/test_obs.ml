@@ -355,6 +355,22 @@ let test_window_histogram_expiry () =
   Alcotest.(check int) "expired" 0
     (Histogram.count (Window.snapshot h ~horizon_s:1.0))
 
+(* A fresh ring shares one empty sentinel cell instead of holding a dense
+   ~2048-slot histogram per bucket (300 of them, ~615 k words, before);
+   observations in one window still stay out of every other. *)
+let test_window_histogram_lazy_cells () =
+  let words h = Obj.reachable_words (Obj.repr h) in
+  let h = Window.histogram () in
+  let fresh = words h in
+  Alcotest.(check bool) (Printf.sprintf "fresh window %d words <= 4096" fresh) true
+    (fresh <= 4096);
+  Window.observe h 0.5;
+  Alcotest.(check int) "observed" 1 (Histogram.count (Window.snapshot h ~horizon_s:10.0));
+  let other = Window.histogram () in
+  Window.observe other 0.25;
+  Alcotest.(check int) "windows do not share observations" 1
+    (Histogram.count (Window.snapshot other ~horizon_s:10.0))
+
 let test_window_invalid_args () =
   Alcotest.check_raises "zero buckets"
     (Invalid_argument "Window.counter: buckets must be >= 1") (fun () ->
@@ -404,6 +420,8 @@ let suites =
           test_window_histogram;
         Alcotest.test_case "windowed histogram: events age out" `Quick
           test_window_histogram_expiry;
+        Alcotest.test_case "windowed histogram: a fresh ring holds no cells" `Quick
+          test_window_histogram_lazy_cells;
         Alcotest.test_case "window: invalid parameters rejected" `Quick
           test_window_invalid_args;
         Alcotest.test_case "request ids: minting" `Quick test_request_id_mint;

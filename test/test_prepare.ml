@@ -183,6 +183,87 @@ let test_eviction_storm_never_changes_answers () =
   Alcotest.(check bool) "cache stayed bounded" true (k.Prepare.Cache.entries <= 2);
   Alcotest.(check bool) "evictions happened" true (k.Prepare.Cache.evictions > 0)
 
+(* ---------- the backpressure verdict ---------- *)
+
+(* Each case seeds the key's cost record through [Prepare.record_cost], the
+   function the engine itself records with, so no case depends on a
+   timing. *)
+
+let under_load_db () = Gen.h0_db ~seed:6 ~n:6 ()
+
+let forced cache = E.force_degrade { E.default_config with E.plan_cache = Some cache }
+
+let seed_costs cache q ~chain ~fallback =
+  let a = (Prepare.Cache.of_query cache q).Prepare.artifact in
+  Option.iter (Prepare.record_cost a Prepare.Chain) chain;
+  Option.iter (Prepare.record_cost a Prepare.Fallback) fallback
+
+let answer_of = function
+  | Ok a -> a
+  | Error e -> Alcotest.failf "expected an answer: %s" (Probdb_core.Probdb_error.render e)
+
+let marked_under_load (a : Answer.t) =
+  a.Answer.chain <> []
+  && List.for_all
+       (fun s -> Answer.step_detail s = "skipped: degraded under load (backpressure)")
+       a.Answer.chain
+
+let check_degraded_under_load name (a : Answer.t) =
+  Alcotest.(check bool) (name ^ ": under_load") true a.Answer.under_load;
+  Alcotest.(check bool) (name ^ ": degraded") true a.Answer.degraded;
+  Alcotest.(check bool) (name ^ ": chain marked degraded under load") true
+    (marked_under_load a)
+
+let test_verdict_cheap_key_stays_exact () =
+  let db = under_load_db () and q = Q.h0.Q.query in
+  let cache = Prepare.Cache.create ~capacity:8 () in
+  seed_costs cache q ~chain:(Some 1e-6) ~fallback:(Some 1.0);
+  let a = answer_of (E.eval ~config:(forced cache) db q) in
+  Alcotest.(check bool) "not under load" false a.Answer.under_load;
+  Alcotest.(check bool) "exact" true a.Answer.exact;
+  Alcotest.(check bool) "bit-identical to a cold exact run" true
+    (fingerprint (Ok a) = fingerprint (E.eval db q))
+
+let test_verdict_expensive_key_degrades () =
+  let db = under_load_db () and q = Q.h0.Q.query in
+  let cache = Prepare.Cache.create ~capacity:8 () in
+  seed_costs cache q ~chain:(Some 1.0) ~fallback:(Some 1e-6);
+  check_degraded_under_load "expensive" (answer_of (E.eval ~config:(forced cache) db q))
+
+let test_verdict_unrecorded_key_degrades () =
+  let db = under_load_db () and q = Q.h0.Q.query in
+  check_degraded_under_load "no record"
+    (answer_of (E.eval ~config:(forced (Prepare.Cache.create ~capacity:8 ())) db q));
+  (* one cost alone is not a record to compare: the chain's, as a request
+     below the watermark leaves it *)
+  let cache = Prepare.Cache.create ~capacity:8 () in
+  seed_costs cache q ~chain:(Some 1e-6) ~fallback:None;
+  check_degraded_under_load "chain cost only"
+    (answer_of (E.eval ~config:(forced cache) db q))
+
+let test_verdict_forall_key_runs_exact () =
+  (* a universal sentence has no monotone DNF to sample: even with no
+     record, its first forced evaluation is the normal exact chain *)
+  let db = under_load_db () and q = parse "forall x y. R(x) || S(x,y)" in
+  let a = answer_of (E.eval ~config:(forced (Prepare.Cache.create ~capacity:8 ())) db q) in
+  Alcotest.(check bool) "not under load" false a.Answer.under_load;
+  Alcotest.(check bool) "exact" true a.Answer.exact;
+  Alcotest.(check bool) "bit-identical to an unforced run" true
+    (fingerprint (Ok a) = fingerprint (E.eval db q))
+
+let test_verdict_capacity_zero_cache () =
+  (* nothing is retained, so a record never outlives its evaluation: every
+     forced evaluation of a samplable key degrades, as with no record *)
+  let db = under_load_db () and q = Q.h0.Q.query in
+  let cache = Prepare.Cache.create ~capacity:0 () in
+  seed_costs cache q ~chain:(Some 1e-6) ~fallback:(Some 1.0);
+  let first = answer_of (E.eval ~config:(forced cache) db q) in
+  check_degraded_under_load "capacity 0" first;
+  let second = answer_of (E.eval ~config:(forced cache) db q) in
+  check_degraded_under_load "capacity 0, again" second;
+  Alcotest.(check bool) "both runs identical" true
+    (fingerprint (Ok first) = fingerprint (Ok second))
+
 (* ---------- the shared cache under concurrency ---------- *)
 
 let test_concurrent_lookups_exact_counters () =
@@ -378,6 +459,16 @@ let suites =
           test_bit_identity_under_guard_trips;
         Alcotest.test_case "eviction storm never changes answers" `Quick
           test_eviction_storm_never_changes_answers;
+        Alcotest.test_case "load verdict: cheap key stays exact" `Quick
+          test_verdict_cheap_key_stays_exact;
+        Alcotest.test_case "load verdict: expensive key degrades" `Quick
+          test_verdict_expensive_key_degrades;
+        Alcotest.test_case "load verdict: unrecorded key degrades" `Quick
+          test_verdict_unrecorded_key_degrades;
+        Alcotest.test_case "load verdict: forall key runs exact" `Quick
+          test_verdict_forall_key_runs_exact;
+        Alcotest.test_case "load verdict: capacity-0 cache degrades" `Quick
+          test_verdict_capacity_zero_cache;
         Alcotest.test_case "concurrent lookups, exact counters" `Slow
           test_concurrent_lookups_exact_counters;
         Alcotest.test_case "serve: engine config hoisted" `Quick
