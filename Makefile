@@ -85,7 +85,7 @@ bench-smoke: build
 # the grounding polls the guard, so none may run on past it. The default
 # chain with degradation on gets twice its deadline plus one second: the
 # (ε,δ) fallback grounds its own DNF under a second deadline of the same
-# length.
+# length. Lifted inference must answer q_w on gen-128 under `timeout 3`.
 check-grounded: build
 	@timeout 300 dune exec --no-build test/main.exe -- test 'kc|lineage|boolean|golden' -c || \
 		{ echo "check-grounded: suites failed (exit $$?)"; exit 1; }; \
@@ -114,6 +114,9 @@ check-grounded: build
 		[ $$code -eq 0 ] || [ $$code -eq 7 ] || \
 			{ echo "check-grounded: q_w with $$* on gen-$$n exited $$code under timeout $$limit"; exit 1; }; \
 	done; \
+	timeout 3 dune exec --no-build bin/probdb.exe -- eval --db "$$tmp/gen-128" \
+		--method lifted --no-degrade "$$qw" >/dev/null || \
+		{ echo "check-grounded: lifted on q_w over gen-128 failed or overran (exit $$?)"; exit 1; }; \
 	echo "check-grounded: suites + golden answers + q_j/q_w within their deadlines — OK"
 
 # The grounded-WMC equivalence suite on its own: the clause-database

@@ -195,9 +195,12 @@ let record_pool stats = function
       stats.Stats.domains_used <- Par.domains p;
       stats.Stats.par_tasks <- Par.tasks_run p
 
-let try_lifted stats guard pool db q =
+(* The artifact's lifted plan under this request's constants. A plan that
+   fails at its root raises at once: no poll, no data read. *)
+let try_lifted prepared stats guard pool db =
   let rule_stats = Lift.fresh_stats () in
-  match Lift.probability ~stats:rule_stats ~guard ?pool db q with
+  let { Prepare.artifact; binding } = prepared in
+  match Lift.eval ~stats:rule_stats ~guard ?pool artifact.Prepare.lifted ~binding db with
   | p ->
       stats.Stats.lifted <- Some (Lift.obs_counts rule_stats);
       Ok_outcome (Exact p)
@@ -401,7 +404,7 @@ let try_world_enum config guard db q =
 let attempt prepared config stats guard pool grounded db q s =
   let run () =
     match s with
-    | Lifted -> try_lifted stats guard pool db q
+    | Lifted -> try_lifted prepared stats guard pool db
     | Symmetric -> try_symmetric guard db q
     | Safe_plan -> try_safe_plan prepared stats guard db
     | Read_once -> try_read_once guard grounded

@@ -23,6 +23,7 @@ type artifact = {
   ucq : (Ucq.t * Ucq.mode, string) result;
   plan : Plan.t option;
   plan_skip : string option;
+  lifted : Lift.t;
   verdict : Lift.verdict;
   cost : cost;
 }
@@ -199,13 +200,10 @@ let build ~key ~khash ~nparams template =
         | [ _ ] -> (None, Some "CQ has self-joins or negated atoms")
         | _ -> (None, Some "not a single CQ"))
   in
-  let verdict =
-    match Lift.classify template with
-    | v -> v
-    | exception _ -> Lift.Unsupported "classification failed"
-  in
+  let lifted = Lift.compile ~param:marker_index template in
+  let verdict = Lift.verdict lifted in
   let cost = { chain_ns = Atomic.make (-1); fallback_ns = Atomic.make (-1) } in
-  { key; khash; template; nparams; ucq; plan; plan_skip; verdict; cost }
+  { key; khash; template; nparams; ucq; plan; plan_skip; lifted; verdict; cost }
 
 let prepare q =
   let key, khash, template, consts = analyse q in

@@ -64,10 +64,15 @@ type artifact = private {
           hierarchical positive CQ *)
   plan_skip : string option;
       (** when [plan = None]: the engine's safe-plan skip message *)
+  lifted : Probdb_lifted.Lift.t;
+      (** the lifted plan of the template, compiled once with the markers
+          as parameters; the engine's lifted attempt evaluates it under the
+          bound constants ({!Probdb_lifted.Lift.eval}) *)
   verdict : Probdb_lifted.Lift.verdict;
-      (** lifted-rules safety classification of the template; informational
-          (surfaced by [probdb prepare]) — execution never gates the
-          lifted attempt on it *)
+      (** lifted-rules safety classification of the template, read off
+          [lifted] ({!Probdb_lifted.Lift.verdict}); informational (surfaced
+          by [probdb prepare]) — execution never gates the lifted attempt
+          on it *)
   cost : cost;
       (** the key's running evaluation costs — the one mutable part of an
           artifact, shared by every query that resolves to it *)

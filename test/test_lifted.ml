@@ -3,6 +3,10 @@ module L = Probdb_logic
 module Lift = Probdb_lifted.Lift
 module Q = Probdb_workload.Queries
 module Gen = Probdb_workload.Gen
+module Guard = Probdb_guard.Guard
+module Par = Probdb_par.Par
+module E = Probdb_engine.Engine
+module Prepare = Probdb_prepare.Prepare
 
 let parse_s = L.Parser.parse_sentence
 
@@ -193,6 +197,177 @@ let prop_lifted_correct_on_safe_cqs =
         Float.abs (expected -. got) < 1e-9
       end)
 
+
+(* ---------- compiled plans ---------- *)
+
+(* The grounded-exact workload's TID ([probdb gen --domain 8 --seed 3
+   R:1:1.0 S:2:0.4 T:1:0.6 S1:2:0.3 S2:2:0.5 S3:2:0.5]). *)
+let grounded_exact_db () =
+  Gen.random_tid ~seed:3 ~domain_size:8
+    [ Gen.spec ~density:1.0 "R" 1; Gen.spec ~density:0.4 "S" 2;
+      Gen.spec ~density:0.6 "T" 1; Gen.spec ~density:0.3 "S1" 2;
+      Gen.spec ~density:0.5 "S2" 2; Gen.spec ~density:0.5 "S3" 2 ]
+
+(* Rule tallies and guard polls of a plan evaluation are those of the
+   derivation it was compiled from, node visit for node visit. *)
+let test_plan_tallies () =
+  let db = grounded_exact_db () in
+  let tallies (e : Q.entry) =
+    let stats = Lift.fresh_stats () and guard = Guard.create () in
+    ignore (Lift.probability ~stats ~guard db e.Q.query);
+    ( [ stats.Lift.independent_unions; stats.Lift.independent_joins;
+        stats.Lift.separator_steps; stats.Lift.ie_expansions; stats.Lift.ie_terms;
+        stats.Lift.cancelled_terms; stats.Lift.base_lookups ],
+      Guard.polls guard )
+  in
+  let check name expected_tallies expected_polls e =
+    let got, polls = tallies e in
+    Alcotest.(check (list int)) (name ^ " tallies") expected_tallies got;
+    Option.iter (fun n -> Alcotest.(check int) (name ^ " lifted.* polls") n polls) expected_polls
+  in
+  check "q_w" [ 123; 472; 136; 25; 77; 2; 1608 ] (Some 3925) Q.q_w;
+  check "q_j" [ 8; 24; 27; 1; 3; 0; 224 ] None Q.q_j;
+  (* compile once, evaluate many times: the same answer and tallies *)
+  let plan = Lift.compile Q.q_w.Q.query in
+  let p = Lift.probability db Q.q_w.Q.query in
+  for _ = 1 to 3 do
+    let stats = Lift.fresh_stats () in
+    let v = Lift.eval ~stats plan ~binding:[||] db in
+    if not (v = p) then Alcotest.failf "q_w re-evaluated: %h <> %h" v p;
+    Alcotest.(check int) "q_w lookups per evaluation" 1608 stats.Lift.base_lookups
+  done
+
+(* A template whose plan fails at its root is skipped without a poll: a
+   fault hook tripping the first poll never fires, and the skip reads as
+   it does cold. A query that does poll trips under the same hook. *)
+let test_structural_skip () =
+  let db = grounded_exact_db () in
+  let cache = Prepare.Cache.create ~capacity:8 () in
+  let base = { E.default_config with E.plan_cache = Some cache } in
+  let render r =
+    match r with
+    | Ok a ->
+        List.map Probdb_engine.Answer.step_detail a.Probdb_engine.Answer.chain
+        |> String.concat " | "
+    | Error e -> Probdb_core.Probdb_error.render e
+  in
+  let cold = render (E.eval ~config:base db Q.h0.Q.query) in
+  let hooked =
+    { base with
+      E.strategies = [ E.Lifted ];
+      fault = Some (Guard.Trip_at_poll { poll = 1; resource = Guard.Fault }) }
+  in
+  (match E.evaluate ~config:hooked db Q.h0.Q.query with
+  | exception E.No_method [ (E.Lifted, reason) ] ->
+      Alcotest.(check string) "h0 skip text"
+        "rules fail: no lifted rule applies to clause: R(x) && S(x,y) && T(y)" reason
+  | exception E.No_method _ -> Alcotest.fail "h0: unexpected chain"
+  | _ -> Alcotest.fail "h0 answered by lifted inference");
+  Alcotest.(check string) "h0 chain warm = cold" cold
+    (render (E.eval ~config:base db Q.h0.Q.query));
+  match E.evaluate ~config:hooked db Q.q_j.Q.query with
+  | exception E.No_method [ (E.Lifted, reason) ] ->
+      Alcotest.(check bool) "q_j trips at its first poll" true
+        (not (String.starts_with ~prefix:"rules fail" reason))
+  | _ -> Alcotest.fail "q_j: the fault hook did not fire"
+
+(* Where the derivation depends on a separator constant equalling a
+   constant of the query, the plan shatters on it: [x = 0] merges the two
+   atoms into one lookup, [x = 1] leaves two ground atoms of one relation
+   and fails. Parameters bound in either order render the failing clause
+   sorted by value, as the concrete derivation does. *)
+let test_equality_shattering () =
+  let q = parse_s "exists x. S(x,0) && S(x,x)" in
+  let one =
+    Core.Tid.make ~domain:[ Core.Value.Int 0 ]
+      [ Core.Relation.of_list "S" [ (Core.Tuple.of_ints [ 0; 0 ], 0.3) ] ]
+  in
+  Test_util.check_float "domain {0}" 0.3 (Lift.probability one q);
+  let two = Gen.random_tid ~seed:1 ~domain_size:2 [ Gen.spec ~density:1.0 "S" 2 ] in
+  (match Lift.probability two q with
+  | exception Lift.Unsafe msg ->
+      Alcotest.(check string) "domain {0,1}"
+        "no lifted rule applies to clause: S(1,0) || S(1,1)" msg
+  | _ -> Alcotest.fail "expected the rules to fail at x = 1");
+  let db = grounded_exact_db () in
+  let cache = Prepare.Cache.create ~capacity:8 () in
+  let config = { E.default_config with E.plan_cache = Some cache; strategies = [ E.Lifted ] } in
+  List.iter
+    (fun text ->
+      match E.evaluate ~config db (parse_s text) with
+      | exception E.No_method [ (E.Lifted, reason) ] ->
+          Alcotest.(check string) text
+            "rules fail: no lifted rule applies to clause: S(0,2) || S(0,5)" reason
+      | _ -> Alcotest.fail (text ^ ": expected the rules to fail"))
+    [ "exists x. S(x,2) && S(x,5)"; "exists x. S(x,5) && S(x,2)" ];
+  Alcotest.(check int) "one template" 1 (Prepare.Cache.counters cache).Prepare.Cache.entries
+
+(* Random unate ∃ and ∀ sentences over R/1, S/2 and T/1, with the
+   constants [0 .. constants - 1]. *)
+let gen_sentence ~constants =
+  QCheck2.Gen.(
+    let term = oneof [ map (fun i -> L.Fo.Var (Printf.sprintf "v%d" i)) (int_range 0 2);
+                       map (fun i -> L.Fo.Const (Core.Value.Int i)) (int_range 0 (constants - 1)) ] in
+    let atom =
+      let* rel, arity = oneofl [ ("R", 1); ("S", 2); ("T", 1) ] in
+      let+ args = flatten_l (List.init arity (fun _ -> term)) in
+      L.Fo.Atom { L.Fo.rel; args }
+    in
+    let cq = let* n = int_range 1 3 in map L.Fo.conj (list_repeat n atom) in
+    let* universal = bool in
+    if universal then
+      (* ∀ vars. a clause of literals, one polarity per relation *)
+      let* n = int_range 1 3 in
+      let* atoms = list_repeat n atom in
+      let* negate_r = bool and* negate_s = bool and* negate_t = bool in
+      let lit = function
+        | L.Fo.Atom { L.Fo.rel; _ } as a ->
+            let neg = match rel with "R" -> negate_r | "S" -> negate_s | _ -> negate_t in
+            if neg then L.Fo.Not a else a
+        | f -> f
+      in
+      let body = L.Fo.disj (List.map lit atoms) in
+      return (L.Fo.forall (L.Fo.free_vars body) body)
+    else
+      let* n = int_range 1 2 in
+      let+ cqs = list_repeat n cq in
+      L.Fo.disj (List.map (fun c -> L.Fo.exists (L.Fo.free_vars c) c) cqs))
+
+(* The rules take the query's constants to be in the domain, so a domain
+   of one element draws the constant 0 only. *)
+let gen_case =
+  QCheck2.Gen.(
+    let* domain_size = int_range 1 3 in
+    let* q = gen_sentence ~constants:(min 2 domain_size) in
+    let+ seed = int_range 1 1000 in
+    (q, domain_size, seed))
+
+let pool2 = lazy (Par.create ~domains:2 ())
+
+(* Wherever the rules succeed on a random sentence, the plan's answer
+   matches world enumeration, and a pool of 2 returns it bit for bit. In a
+   domain of one element every separator constant equals the query's
+   constant. *)
+let prop_plan_matches_worlds =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~count:500
+       ~name:"plan = world enumeration (constants in domain, pools 1 and 2)"
+       ~print:(fun (q, n, seed) -> Printf.sprintf "%s, domain %d, seed %d" (L.Fo.to_string q) n seed)
+    gen_case
+    (fun (q, domain_size, seed) ->
+      let db =
+        Gen.random_tid ~seed ~domain_size
+          [ Gen.spec ~density:0.7 "R" 1; Gen.spec ~density:0.5 "S" 2;
+            Gen.spec ~density:0.7 "T" 1 ]
+      in
+      match Lift.probability db q with
+      | exception Lift.Unsafe _ -> true
+      | exception L.Ucq.Unsupported _ -> true
+      | p ->
+          let expected = L.Brute_force.probability db q in
+          let p_par = Lift.probability ~pool:(Lazy.force pool2) db q in
+          Float.abs (p -. expected) < 1e-12 && p = p_par)
+
 let suites =
   [
     ( "lifted",
@@ -211,5 +386,9 @@ let suites =
         Alcotest.test_case "hierarchical chain family" `Quick test_hierarchical_chain_family;
         prop_dichotomy_agreement;
         prop_lifted_correct_on_safe_cqs;
+        Alcotest.test_case "plan tallies on grounded-exact" `Quick test_plan_tallies;
+        Alcotest.test_case "structural skip without polls" `Quick test_structural_skip;
+        Alcotest.test_case "equality shattering" `Quick test_equality_shattering;
+        prop_plan_matches_worlds;
       ] );
   ]
